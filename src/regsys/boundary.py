@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve, null_space
 
 from .errors import AdmissibilityError, ShapeError, SpectrumError
+from .node import _decode_matrix, _encode_matrix
 
 _RANK_RTOL = 1e-10
 
@@ -94,29 +95,15 @@ class BoundaryTriple:
         return self.G if self.G2 is None else np.vstack([self.G, self.G2])
 
     def to_json_dict(self) -> dict:
-        def enc(m):
-            return [[[float(x.real), float(x.imag)] for x in row] for row in np.atleast_2d(m)]
-
-        doc = {"L": enc(self.L), "G": enc(self.G), "K": enc(self.K)}
-        if self.G2 is not None:
-            doc["G2"] = enc(self.G2)
-        if self.W is not None:
-            doc["W"] = enc(self.W)
-        return doc
+        """Matrices in the JSON matrix format of Realization; absent optional
+        traces and observations are left out."""
+        return {k: _encode_matrix(getattr(self, k)) for k in ("L", "G", "K", "G2", "W")
+                if getattr(self, k) is not None}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "BoundaryTriple":
-        def dec(rows):
-            m = np.array([[complex(a, b) for a, b in row] for row in rows])
-            return m.real if np.all(m.imag == 0) else m
-
-        return BoundaryTriple(
-            L=dec(doc["L"]),
-            G=dec(doc["G"]),
-            K=dec(doc["K"]),
-            G2=dec(doc["G2"]) if "G2" in doc else None,
-            W=dec(doc["W"]) if "W" in doc else None,
-        )
+        return BoundaryTriple(**{k: _decode_matrix(doc[k]) for k in ("L", "G", "K", "G2", "W")
+                                 if k in doc})
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:

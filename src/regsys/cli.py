@@ -6,10 +6,6 @@ the measured value, and the verdict. Randomness is seeded through numpy's
 PCG64 generator (named in the report), so identical config and seed give
 byte-identical JSON up to the wall_time_s field. The exit status is
 nonzero exactly when an assertion fails.
-
-Threading: sweep kinds honor the REGSYS_THREADS environment variable
-(independent sweep points on a thread pool); everything else is single
-threaded.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from .gramian import (
     surjectivity_radius,
 )
 from .grids import Signal, TimeGrid
-from .node import Realization, composition_deviations, io_map, transfer
+from .node import Realization, _rel_dev, composition_deviations, io_map, transfer
 from .sampling import across_instance, cross_instance, double_instance, random_realization
 
 SCHEMA_VERSION = "1"
@@ -129,11 +125,6 @@ def _tol(cfg: dict, name: str, default: float) -> float:
 def _grid(cfg: dict, t_end: float = 1.5, n_steps: int = 32) -> TimeGrid:
     spec = cfg.get("grid") or {}
     return TimeGrid(float(spec.get("t_end", t_end)), int(spec.get("n_steps", n_steps)))
-
-
-def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(np.max(np.abs(rhs)), 1e-300)
-    return float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))) / scale)
 
 
 def _run_quadruple_identities(cfg: dict):
@@ -285,13 +276,13 @@ def _run_boundary_feedin(cfg: dict):
     a_ref, b_ref = model.first_order_matrices()
     rg = restrict_generator(bt)
     assertions.append(_le("beam_restriction", _tol(cfg, "beam_restriction", 1e-12),
-                          _rel(rg.a, a_ref)))
+                          _rel_dev(rg.a, a_ref)))
 
     lam0 = 3.0
     b1 = control_operator_from_triple(bt, lam0)
     b2 = control_operator_from_triple(bt, 4.0 * lam0)
     assertions.append(_le("beam_control_operator", _tol(cfg, "beam_control_operator", 1e-6),
-                          _rel(b1, b_ref)))
+                          _rel_dev(b1, b_ref)))
     assertions.append(_le("beam_lambda_independence",
                           _tol(cfg, "beam_lambda_independence", 1e-8),
                           float(np.max(np.abs(b1 - b2)) / max(np.max(np.abs(b_ref)), 1.0))))
@@ -306,7 +297,7 @@ def _run_boundary_feedin(cfg: dict):
     y_triple = io_map(r_triple, g_sim, u)
     assertions.append(_le("beam_trajectory_agreement",
                           _tol(cfg, "beam_trajectory_agreement", 1e-6),
-                          _rel(y_triple.values, y_direct.values)))
+                          _rel_dev(y_triple.values, y_direct.values)))
 
     sweep = default_shift_sweep(bt, 20)
     est_vel = feedthrough_estimate(bt, sweep, "primary", "W")
@@ -325,7 +316,7 @@ def _run_boundary_feedin(cfg: dict):
     a_fb, _ = beam_model(N, "shear-feedback", gain).first_order_matrices()
     rg_cl = close_boundary_loop(bt, gain, observation="W")
     assertions.append(_le("beam_closed_loop", _tol(cfg, "beam_closed_loop", 1e-10),
-                          _rel(rg_cl.a, a_fb)))
+                          _rel_dev(rg_cl.a, a_fb)))
     ev_triple = np.sort_complex(np.linalg.eigvals(rg_cl.a))
     ev_direct = np.sort_complex(np.linalg.eigvals(a_fb))
     eig_dev = float(np.max(np.abs(ev_triple - ev_direct) / (1.0 + np.abs(ev_direct))))
@@ -562,7 +553,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="regsys",
         description="Run reproducible verification experiments for the toolkit.",
-        epilog="Set REGSYS_THREADS to parallelize sweep points.",
     )
     parser.add_argument("--config", type=str, help="JSON experiment config path")
     parser.add_argument("--out", type=str, default=None, help="output directory for reports")

@@ -20,7 +20,15 @@ import numpy as np
 
 from .errors import AdmissibilityError, ControllabilityError, ShapeError
 from .grids import TimeGrid
-from .node import Realization, lifted_step, quadruple_maps
+from .node import (
+    Realization,
+    _control_columns,
+    _io_toeplitz,
+    _observation_rows,
+    _rel_dev,
+    lifted_quadruple,
+    quadruple_maps,
+)
 
 _ADMISSIBILITY_RTOL = 1e-8
 
@@ -233,50 +241,37 @@ def _require_identity_admissible(r: Realization, g: TimeGrid) -> None:
         )
 
 
-def _rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
-
-
 def _lambda_samples(*systems: Realization) -> tuple:
     shift = max(s.spectral_abscissa() for s in systems) + 1.0
     return tuple(base + shift for base in (1.0, 2.0, 5.0, 10.0))
 
 
-def _control_columns(E_cl: np.ndarray, M_cl: np.ndarray, n_steps: int) -> np.ndarray:
-    """Columns E_cl^(N-1-k) M_cl assembled by forward accumulation."""
-    n, m = M_cl.shape
-    phi = np.zeros((n, n_steps * m), dtype=np.result_type(E_cl, M_cl))
-    acc = M_cl.copy()
-    for k in range(n_steps - 1, -1, -1):
-        phi[:, k * m : (k + 1) * m] = acc
-        if k > 0:
-            acc = E_cl @ acc
-    return phi
+def _channels(main: Realization, pert: Realization, mode: str) -> Realization:
+    """main with the perturbing channel of pert stacked on: its input
+    (DB, P) beside (B, D) for mode "across", its output (DC, P) below (C, D)
+    for mode "cross"."""
+    if mode == "across":
+        return Realization(main.A, np.hstack([main.B, pert.B]), main.C, np.hstack([main.D, pert.D]))
+    return Realization(main.A, main.B, np.vstack([main.C, pert.C]), np.vstack([main.D, pert.D]))
 
 
-def _observation_rows(C_cl: np.ndarray, E_cl: np.ndarray, n_steps: int) -> np.ndarray:
-    p, n = C_cl.shape
-    psi = np.zeros((n_steps * p, n), dtype=np.result_type(C_cl, E_cl))
-    acc = C_cl.copy()
-    for j in range(n_steps):
-        psi[j * p : (j + 1) * p, :] = acc
-        acc = acc @ E_cl
-    return psi
+def _closed_step(step: tuple, m: int, S: np.ndarray, k=1.0) -> tuple:
+    """One-step quadruple (E_cl, M_cl, C_cl, D_cl) from the extra inputs to
+    the extra outputs of the stacked one-step quadruple step = (E, M, C_bar,
+    D_bar) once u = k y closes the loop over its first m inputs and outputs.
 
-
-def _io_toeplitz(E: np.ndarray, M: np.ndarray, C: np.ndarray, D: np.ndarray, n_steps: int) -> np.ndarray:
-    p, m = D.shape
-    fio = np.zeros((n_steps * p, n_steps * m), dtype=np.result_type(E, M, C, D))
-    blocks = [D]
-    acc = C.copy()
-    for _ in range(n_steps - 1):
-        blocks.append(acc @ M)
-        acc = acc @ E
-    for i in range(n_steps):
-        for k in range(i + 1):
-            fio[i * p : (i + 1) * p, k * m : (k + 1) * m] = blocks[i - k]
-    return fio
+    S = (I - k D_bar[:m, :m])^-1 is passed in, so the caller keeps its own
+    singularity gate; k and S may carry leading batch axes.
+    """
+    E, M, C, D = step
+    kS = np.asarray(k)[..., None, None] * S
+    M_u, C_y = M[:, :m], C[:m]
+    return (
+        E + M_u @ kS @ C_y,
+        M[:, m:] + M_u @ kS @ D[:m, m:],
+        C[m:] + D[m:, :m] @ kS @ C_y,
+        D[m:, m:] + D[m:, :m] @ kS @ D[:m, m:],
+    )
 
 
 def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> CompositionReport:
@@ -308,15 +303,9 @@ def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> Composi
     closed = Realization(a_closed, b_closed, s_out @ main.C, s_out @ pert.D)
 
     # discrete side, left: close the loop step by step
-    ls = lifted_step(main, g.dt)
-    E, M_I, M_J = ls.E, ls.M_I, ls.M_J
-    M_B, M_D = M_I @ main.B, M_I @ pert.B
-    C_bar = main.C @ M_I / g.dt
-    D_bar = main.C @ M_J @ main.B / g.dt + main.D
-    P_bar = main.C @ M_J @ pert.B / g.dt + pert.D
-    S = _inv(np.eye(m) - D_bar, "I - D_bar")
-    E_cl = E + M_B @ S @ C_bar
-    M_cl = M_B @ S @ P_bar + M_D
+    step = lifted_quadruple(_channels(main, pert, "across"), g.dt)
+    S = _inv(np.eye(m) - step[3][:m, :m], "I - D_bar")
+    E_cl, M_cl, _, _ = _closed_step(step, m, S)
     lhs = _control_columns(E_cl, M_cl, N)
 
     # discrete side, right: block composition of the open-loop maps
@@ -398,16 +387,9 @@ def perturb_cross(main: Realization, pert: Realization, g: TimeGrid) -> Composit
     c_closed = pert.D @ s_out @ main.C + pert.C
     closed = Realization(a_closed, main.B @ s_out, c_closed, pert.D @ s_out)
 
-    ls = lifted_step(main, g.dt)
-    E, M_I, M_J = ls.E, ls.M_I, ls.M_J
-    M_B = M_I @ main.B
-    C_bar = main.C @ M_I / g.dt
-    D_bar = main.C @ M_J @ main.B / g.dt + main.D
-    DC_bar = pert.C @ M_I / g.dt
-    P_bar = pert.C @ M_J @ main.B / g.dt + pert.D
-    S = _inv(np.eye(m) - D_bar, "I - D_bar")
-    E_cl = E + M_B @ S @ C_bar
-    C_cl = DC_bar + P_bar @ S @ C_bar
+    step = lifted_quadruple(_channels(main, pert, "cross"), g.dt)
+    S = _inv(np.eye(m) - step[3][:m, :m], "I - D_bar")
+    E_cl, _, C_cl, _ = _closed_step(step, m, S)
     lhs = _observation_rows(C_cl, E_cl, N)
 
     qm_main = quadruple_maps(main, g)
@@ -496,21 +478,15 @@ def perturb_double(
     a_closed = main.A + main.B @ s_out @ main.C
     closed = Realization(a_closed, db, dc, np.zeros((dc.shape[0], db.shape[1])))
 
-    ls = lifted_step(main, g.dt)
-    E, M_I, M_J = ls.E, ls.M_I, ls.M_J
-    M_B, M_D = M_I @ main.B, M_I @ db
-    C_bar = main.C @ M_I / g.dt
-    D_bar = main.C @ M_J @ main.B / g.dt + main.D
-    D_uv = main.C @ M_J @ db / g.dt
-    DC_bar = dc @ M_I / g.dt
-    D_zu = dc @ M_J @ main.B / g.dt
-    D_zv = dc @ M_J @ db / g.dt
-    S = _inv(np.eye(m) - D_bar, "I - D_bar")
-    E_cl = E + M_B @ S @ C_bar
-    M_cl = M_D + M_B @ S @ D_uv
-    C_cl = DC_bar + D_zu @ S @ C_bar
-    D_cl = D_zv + D_zu @ S @ D_uv
-    lhs = _io_toeplitz(E_cl, M_cl, C_cl, D_cl, N)
+    stacked = Realization(
+        main.A,
+        np.hstack([main.B, db]),
+        np.vstack([main.C, dc]),
+        np.block([[main.D, pert_b.D], [pert_c.D, pert_bc.D]]),
+    )
+    step = lifted_quadruple(stacked, g.dt)
+    S = _inv(np.eye(m) - step[3][:m, :m], "I - D_bar")
+    lhs = _io_toeplitz(*_closed_step(step, m, S), N)
 
     qm_main = quadruple_maps(main, g)
     fio_b = quadruple_maps(pert_b, g).io_map

@@ -15,16 +15,14 @@ perturbed operator against the guaranteed Weyl-type lower bound.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ControllabilityError, GridError, ShapeError
-from .feedback import k0_bound, theta0_bound
+from .feedback import _channels, _closed_step, k0_bound, theta0_bound
 from .grids import Signal, TimeGrid
-from .node import Realization, lifted_step, quadruple_maps
+from .node import Realization, _control_columns, _observation_rows, lifted_quadruple, quadruple_maps
 
 _EXACTNESS_RTOL = 1e-8
 
@@ -164,14 +162,6 @@ def min_norm_control(r: Realization, g: TimeGrid, t0: float, x_target: np.ndarra
     return Signal(sub, vals)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("REGSYS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True, eq=False)
 class SweepReport:
     """Gain sweep of the perturbed operator's smallest singular value."""
@@ -203,55 +193,6 @@ class SweepReport:
                 writer.writerow([repr(float(k)), repr(float(s)), repr(float(b)), int(w)])
 
 
-def _sweep_point_across(k, lifted, main, pert, n_steps):
-    E, M_I, M_J = lifted.E, lifted.M_I, lifted.M_J
-    dt = lifted.dt
-    m = main.m
-    C_bar = main.C @ M_I / dt
-    D_bar = main.C @ M_J @ main.B / dt + main.D
-    P_bar = main.C @ M_J @ pert.B / dt + pert.D
-    loop = np.eye(m) - k * D_bar
-    sv = np.linalg.svd(loop, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        return 0.0
-    S = np.linalg.solve(loop, np.eye(m))
-    M_B = M_I @ main.B
-    E_cl = E + k * M_B @ S @ C_bar
-    M_cl = k * M_B @ S @ P_bar + M_I @ pert.B
-    n, q = M_cl.shape
-    phi = np.zeros((n, n_steps * q))
-    acc = M_cl.copy()
-    for j in range(n_steps - 1, -1, -1):
-        phi[:, j * q : (j + 1) * q] = acc
-        if j > 0:
-            acc = E_cl @ acc
-    return float(np.linalg.svd(phi / np.sqrt(dt), compute_uv=False)[-1])
-
-
-def _sweep_point_cross(k, lifted, main, pert, n_steps):
-    E, M_I, M_J = lifted.E, lifted.M_I, lifted.M_J
-    dt = lifted.dt
-    m = main.m
-    C_bar = main.C @ M_I / dt
-    D_bar = main.C @ M_J @ main.B / dt + main.D
-    DC_bar = pert.C @ M_I / dt
-    P_bar = pert.C @ M_J @ main.B / dt + pert.D
-    loop = np.eye(m) - k * D_bar
-    sv = np.linalg.svd(loop, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        return 0.0
-    S = np.linalg.solve(loop, np.eye(m))
-    E_cl = E + k * (M_I @ main.B) @ S @ C_bar
-    C_cl = DC_bar + k * P_bar @ S @ C_bar
-    p_out, n = C_cl.shape
-    psi = np.zeros((n_steps * p_out, n))
-    acc = C_cl.copy()
-    for j in range(n_steps):
-        psi[j * p_out : (j + 1) * p_out, :] = acc
-        acc = acc @ E_cl
-    return float(np.linalg.svd(psi * np.sqrt(dt), compute_uv=False)[-1])
-
-
 def robustness_sweep(
     main: Realization,
     pert: Realization,
@@ -267,9 +208,11 @@ def robustness_sweep(
     observation operator (mode "cross": pert shares A and B, contributes
     DC and P).
 
-    Each sweep point closes the scaled loop in the lifted one-step world
-    and takes an SVD; points are independent and run on a thread pool when
-    the environment variable REGSYS_THREADS is set above 1.
+    All sweep points are closed at once in the lifted one-step world, on
+    the one-step matrices of main with pert's channel stacked on (batched
+    over the gains), and each takes an SVD. A gain at which I - k D_bar is
+    numerically singular (smallest singular value at most 1e-12 times the
+    largest) gets sigma 0.0.
 
     The default grid is 32 logarithmic points in (0, 2*k0] (across) or
     (0, 2*theta0] (cross). The bound column is the guaranteed Weyl lower
@@ -286,7 +229,6 @@ def robustness_sweep(
         raise ShapeError("the looped system must be square (m == p)")
     sub = _prefix_grid(g, t0)
     n_steps = sub.n_steps
-    lifted = lifted_step(main, sub.dt)
     qm_main = quadruple_maps(main, sub)
     qm_pert = quadruple_maps(pert, sub)
     sqdt = np.sqrt(sub.dt)
@@ -311,7 +253,6 @@ def robustness_sweep(
         bound_gain = k0_bound(norms)
         level = radius
         spread = norms["control_norm"] * pert_io_norm
-        point = _sweep_point_across
         threshold = _EXACTNESS_RTOL * sv[0]
         alpha = None
     else:
@@ -332,20 +273,25 @@ def robustness_sweep(
         bound_gain = theta0_bound(norms)
         level = constant
         spread = pert_io_norm * norms["obs_norm"]
-        point = _sweep_point_cross
         threshold = alpha
 
     if k_grid is None:
         k_grid = np.logspace(np.log10(bound_gain) - 3, np.log10(2.0 * bound_gain), 32)
     k_grid = np.asarray(k_grid, dtype=float)
 
-    workers = _thread_count()
-    args = [(float(k), lifted, main, pert, n_steps) for k in k_grid]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sig = np.array(list(pool.map(lambda a: point(*a), args)))
+    m = main.m
+    step = lifted_quadruple(_channels(main, pert, mode), sub.dt)
+    loop = np.eye(m) - k_grid[:, None, None] * step[3][:m, :m]
+    sv_loop = np.linalg.svd(loop, compute_uv=False)
+    live = sv_loop[:, -1] > 1e-12 * sv_loop[:, 0]
+    S = np.linalg.solve(loop[live], np.eye(m))
+    E_cl, M_cl, C_cl, _ = _closed_step(step, m, S, k_grid[live])
+    if mode == "across":
+        op = _control_columns(E_cl, M_cl, n_steps) / sqdt
     else:
-        sig = np.array([point(*a) for a in args])
+        op = _observation_rows(C_cl, E_cl, n_steps) * sqdt
+    sig = np.zeros_like(k_grid)
+    sig[live] = np.linalg.svd(op, compute_uv=False)[:, -1]
 
     bound = np.zeros_like(k_grid)
     inside = k_grid * io_norm < 1.0

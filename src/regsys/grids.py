@@ -53,9 +53,12 @@ class TimeGrid:
         return k
 
     def prefix(self, n_steps: int) -> "TimeGrid":
-        """Subgrid [0, n_steps*dt] with the same spacing."""
+        """Subgrid [0, n_steps*dt] with the same spacing; the grid itself at
+        full length, since n_steps * dt need not round back to t_end."""
         if not (1 <= n_steps <= self.n_steps):
             raise GridError(f"prefix length {n_steps} out of range")
+        if n_steps == self.n_steps:
+            return self
         return TimeGrid(n_steps * self.dt, n_steps)
 
 

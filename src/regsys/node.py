@@ -3,8 +3,13 @@
 A Realization holds dense matrices (A, B, C, D). On a TimeGrid the system
 induces four maps: the state propagator, the input (control) map, the
 output (observation) map, and the input-output map. With zero-order-hold
-inputs these have exact discrete representatives built from three
-augmented matrix exponentials per step size:
+inputs these have exact discrete representatives, all read off one block
+matrix exponential per step size (C. Van Loan, "Computing integrals
+involving the matrix exponential", IEEE TAC 23(3), 1978):
+
+    exp(dt [[0, C, 0],      [[I, C M_I, C M_J B],
+            [0, A, B],  =    [0, E,     M_I B  ],
+            [0, 0, 0]])      [0, 0,     I      ]]
 
     E   = exp(A dt)
     M_I = int_0^dt exp(A s) ds
@@ -41,6 +46,25 @@ def _as_matrix(x, name: str) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
     return a
+
+
+def _rel_dev(lhs, rhs) -> float:
+    """max |lhs - rhs| relative to max |rhs|, the scale floored at 1e-300."""
+    lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+    scale = max(float(np.max(np.abs(rhs))), 1e-300)
+    return float(np.max(np.abs(lhs - rhs)) / scale)
+
+
+def _encode_matrix(mat) -> list:
+    """JSON matrix format: row-major nested lists of [re, im] pairs."""
+    z = np.asarray(mat, dtype=complex)
+    return [[[float(v.real), float(v.imag)] for v in row] for row in z]
+
+
+def _decode_matrix(rows) -> np.ndarray:
+    """Inverse of _encode_matrix; real when every imaginary part is zero."""
+    z = np.array([[complex(re, im) for re, im in row] for row in rows])
+    return z.real if np.all(z.imag == 0.0) else z
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,31 +123,16 @@ class Realization:
     def spectral_abscissa(self) -> float:
         return float(np.max(np.linalg.eigvals(self.A).real))
 
-    # serialization: {n, m, p, A, B, C, D}, matrices as row-major nested
-    # lists of [re, im] pairs
+    # serialization: {n, m, p, A, B, C, D}, matrices in the JSON matrix format
 
     def to_json_dict(self) -> dict:
-        def enc(mat: np.ndarray) -> list:
-            z = np.asarray(mat, dtype=complex)
-            return [[[float(v.real), float(v.imag)] for v in row] for row in z]
-
-        return {
-            "n": self.n,
-            "m": self.m,
-            "p": self.p,
-            "A": enc(self.A),
-            "B": enc(self.B),
-            "C": enc(self.C),
-            "D": enc(self.D),
-        }
+        doc = {"n": self.n, "m": self.m, "p": self.p}
+        doc.update((name, _encode_matrix(getattr(self, name))) for name in "ABCD")
+        return doc
 
     @staticmethod
     def from_json_dict(doc: dict) -> "Realization":
-        def dec(rows) -> np.ndarray:
-            z = np.array([[complex(re, im) for re, im in row] for row in rows])
-            return z.real if np.all(z.imag == 0.0) else z
-
-        r = Realization(dec(doc["A"]), dec(doc["B"]), dec(doc["C"]), dec(doc["D"]))
+        r = Realization(*(_decode_matrix(doc[name]) for name in "ABCD"))
         if (r.n, r.m, r.p) != (doc["n"], doc["m"], doc["p"]):
             raise ShapeError("declared dimensions disagree with matrix shapes")
         return r
@@ -138,16 +147,6 @@ class Realization:
             return Realization.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True, eq=False)
-class LiftedStep:
-    """Exact one-step matrices for zero-order-hold inputs at spacing dt."""
-
-    dt: float
-    E: np.ndarray
-    M_I: np.ndarray
-    M_J: np.ndarray
-
-
 def semigroup_step(r: Realization, dt: float) -> np.ndarray:
     """exp(A dt), the state propagator over one step.
 
@@ -159,40 +158,26 @@ def semigroup_step(r: Realization, dt: float) -> np.ndarray:
     return scipy.linalg.expm(r.A * dt)
 
 
-def lifted_step(r: Realization, dt: float) -> LiftedStep:
-    """E, M_I, M_J from one augmented exponential.
-
-    exp(dt [[A, I, 0], [0, 0, I], [0, 0, 0]]) carries int exp(As) ds in its
-    (1,2) block and int (dt-s) exp(As) ds in its (1,3) block.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n = r.n
-    big = np.zeros((3 * n, 3 * n), dtype=np.result_type(r.A, float))
-    big[:n, :n] = r.A
-    big[:n, n : 2 * n] = np.eye(n)
-    big[n : 2 * n, 2 * n :] = np.eye(n)
-    ebig = scipy.linalg.expm(big * dt)
-    return LiftedStep(dt, ebig[:n, :n], ebig[:n, n : 2 * n], ebig[:n, 2 * n :])
-
-
-def zoh_step(r: Realization, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(E, M) with x_{k+1} = E x_k + M u_k for piecewise-constant input."""
-    ls = lifted_step(r, dt)
-    return ls.E, ls.M_I @ r.B
-
-
 def lifted_quadruple(
     r: Realization, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(E, M, C_bar, D_bar): the exact discrete system for zero-order-hold
-    inputs and subinterval-averaged outputs."""
-    ls = lifted_step(r, dt)
-    E = ls.E
-    M = ls.M_I @ r.B
-    C_bar = r.C @ ls.M_I / dt
-    D_bar = r.C @ ls.M_J @ r.B / dt + r.D
-    return E, M, C_bar, D_bar
+    inputs and subinterval-averaged outputs.
+
+    One exponential of size p + n + m (see the module docstring). Channels
+    stacked into B, C and D come out of the same exponential as the
+    corresponding column and row blocks of M, C_bar and D_bar.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n, p = r.n, r.p
+    x, u = slice(p, p + n), slice(p + n, None)
+    big = np.zeros((p + n + r.m,) * 2, dtype=np.result_type(r.A, r.B, r.C, float))
+    big[:p, x] = r.C
+    big[x, x] = r.A
+    big[x, u] = r.B
+    ebig = scipy.linalg.expm(big * dt)
+    return ebig[x, x], ebig[x, u], ebig[:p, x] / dt, ebig[:p, u] / dt + r.D
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,34 +199,59 @@ class QuadrupleMaps:
     io_map: np.ndarray
 
 
+def _control_columns(E: np.ndarray, M: np.ndarray, n_steps: int) -> np.ndarray:
+    """Input map [E^(N-1) M, ..., E M, M] by forward accumulation; leading
+    (batch) axes of E and M are carried through."""
+    blocks = [M]
+    for _ in range(n_steps - 1):
+        blocks.append(E @ blocks[-1])
+    return np.concatenate(blocks[::-1], axis=-1)
+
+
+def _observation_rows(C: np.ndarray, E: np.ndarray, n_steps: int) -> np.ndarray:
+    """Output map [C; C E; ...; C E^(N-1)] by forward accumulation; leading
+    (batch) axes of C and E are carried through."""
+    blocks = [C]
+    for _ in range(n_steps - 1):
+        blocks.append(blocks[-1] @ E)
+    return np.concatenate(blocks, axis=-2)
+
+
+def _io_toeplitz(E: np.ndarray, M: np.ndarray, C: np.ndarray, D: np.ndarray, n_steps: int) -> np.ndarray:
+    """Input-output map: block lower-triangular Toeplitz with D on the
+    diagonal and C E^(j-1) M on the j-th block subdiagonal.
+
+    With seq = [C E^(N-2) M, ..., C M, D, 0, ..., 0] (2N-1 blocks), block
+    row i is seq[N-1-i : 2N-1-i], so the map is a sliding-window view over
+    seq, copied once by the final reshape.
+    """
+    N = n_steps
+    p, m = D.shape
+    seq = np.zeros((2 * N - 1, p, m), dtype=np.result_type(E, M, C, D))
+    seq[N - 1] = D
+    acc = C
+    for j in range(N - 2, -1, -1):
+        seq[j] = acc @ M
+        acc = acc @ E
+    windows = np.lib.stride_tricks.sliding_window_view(seq, N, axis=0)
+    return windows[::-1].transpose(0, 1, 3, 2).reshape(N * p, N * m)
+
+
 def quadruple_maps(r: Realization, g: TimeGrid) -> QuadrupleMaps:
     """Assemble the exact discrete quadruple on the grid."""
-    n, m, p = r.n, r.m, r.p
     N = g.n_steps
     E, M, C_bar, D_bar = lifted_quadruple(r, g.dt)
-    dtype = np.result_type(E, M, C_bar, D_bar)
-
-    samples = np.empty((N + 1, n, n), dtype=dtype)
-    samples[0] = np.eye(n)
+    samples = np.empty((N + 1, r.n, r.n), dtype=E.dtype)
+    samples[0] = np.eye(r.n)
     for k in range(1, N + 1):
         samples[k] = E @ samples[k - 1]
-
-    phi = np.zeros((n, N * m), dtype=dtype)
-    for k in range(N):
-        phi[:, k * m : (k + 1) * m] = samples[N - 1 - k] @ M
-
-    psi = np.zeros((N * p, n), dtype=dtype)
-    for j in range(N):
-        psi[j * p : (j + 1) * p, :] = C_bar @ samples[j]
-
-    # one matrix product per diagonal; the Toeplitz structure does the rest
-    fio = np.zeros((N * p, N * m), dtype=dtype)
-    diag_blocks = [D_bar] + [C_bar @ samples[j] @ M for j in range(N - 1)]
-    for i in range(N):
-        for k in range(i + 1):
-            fio[i * p : (i + 1) * p, k * m : (k + 1) * m] = diag_blocks[i - k]
-
-    return QuadrupleMaps(g, samples, phi, psi, fio)
+    return QuadrupleMaps(
+        g,
+        samples,
+        _control_columns(E, M, N),
+        _observation_rows(C_bar, E, N),
+        _io_toeplitz(E, M, C_bar, D_bar, N),
+    )
 
 
 def _check_input_signal(r: Realization, g: TimeGrid, u: Signal) -> np.ndarray:
@@ -259,7 +269,7 @@ def input_map(r: Realization, g: TimeGrid, u: Signal) -> Signal:
     The trailing input sample u_N does not influence any state on the grid.
     """
     uv = _check_input_signal(r, g, u)
-    E, M = zoh_step(r, g.dt)
+    E, M, _, _ = lifted_quadruple(r, g.dt)
     x = np.zeros((len(g), r.n), dtype=np.result_type(E, M, uv))
     for k in range(g.n_steps):
         x[k + 1] = E @ x[k] + M @ uv[k]
@@ -407,25 +417,21 @@ def composition_deviations(r: Realization, g: TimeGrid, split: int | None = None
     tail = quadruple_maps(r, TimeGrid((N - q) * g.dt, N - q))
     m, p = r.m, r.p
 
-    def rel(lhs, rhs):
-        scale = max(np.max(np.abs(rhs)), 1e-300)
-        return float(np.max(np.abs(lhs - rhs)) / scale)
-
     e_head = full.semigroup_samples[q]
     e_tail = tail.semigroup_samples[-1]
-    dev_semigroup = rel(e_tail @ e_head, full.semigroup_samples[N])
+    dev_semigroup = _rel_dev(e_tail @ e_head, full.semigroup_samples[N])
 
     phi_expected = np.hstack([e_tail @ head.input_map, tail.input_map])
-    dev_input = rel(phi_expected, full.input_map)
+    dev_input = _rel_dev(phi_expected, full.input_map)
 
     psi_expected = np.vstack([head.output_map, tail.output_map @ e_head])
-    dev_output = rel(psi_expected, full.output_map)
+    dev_output = _rel_dev(psi_expected, full.output_map)
 
     fio_expected = np.zeros_like(full.io_map)
     fio_expected[: q * p, : q * m] = head.io_map
     fio_expected[q * p :, : q * m] = tail.output_map @ head.input_map
     fio_expected[q * p :, q * m :] = tail.io_map
-    dev_io = rel(fio_expected, full.io_map)
+    dev_io = _rel_dev(fio_expected, full.io_map)
 
     return {
         "semigroup": dev_semigroup,

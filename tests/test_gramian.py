@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,10 +15,12 @@ from regsys import (
     cross_instance,
     gramian_report,
     input_map,
+    lifted_quadruple,
     min_norm_control,
     observability_constant,
     observation_operator,
     perturb_across,
+    quadruple_maps,
     random_realization,
     robustness_sweep,
     surjectivity_radius,
@@ -255,18 +255,55 @@ class TestRobustnessSweep:
         first = rows[1].split(",")
         assert float(first[0]) == rep.k_values[0]
 
-    def test_thread_pool_gives_identical_results(self):
-        rng = np.random.default_rng(14)
-        main, pert = across_instance(rng, GRID)
-        serial = robustness_sweep(main, pert, GRID, GRID.t_end, "across")
-        old = os.environ.get("REGSYS_THREADS")
-        os.environ["REGSYS_THREADS"] = "4"
-        try:
-            threaded = robustness_sweep(main, pert, GRID, GRID.t_end, "across")
-        finally:
-            if old is None:
-                del os.environ["REGSYS_THREADS"]
-            else:
-                os.environ["REGSYS_THREADS"] = old
-        np.testing.assert_array_equal(serial.sigma_min, threaded.sigma_min)
-        np.testing.assert_array_equal(serial.within_bound, threaded.within_bound)
+    @pytest.mark.parametrize("mode", ["across", "cross"])
+    def test_batched_sweep_matches_per_point_loop(self, mode):
+        instance = across_instance if mode == "across" else cross_instance
+        rng = np.random.default_rng(15)
+        while True:  # an instance where I - k D_bar is singular at some real k
+            main, pert = instance(rng, GRID)
+            lam = np.linalg.eigvals(lifted_quadruple(main, GRID.dt)[3])
+            if np.any((lam.imag == 0) & (lam.real > 0)):
+                break
+        k_singular = 1.0 / np.max(lam.real[lam.imag == 0])
+        default = robustness_sweep(main, pert, GRID, GRID.t_end, mode)
+        ks = np.append(default.k_values, k_singular)
+        rep = robustness_sweep(main, pert, GRID, GRID.t_end, mode, k_grid=ks)
+
+        ref = np.array([_sweep_point(k, main, pert, mode) for k in ks])
+        assert ref[-1] == 0.0 and rep.sigma_min[-1] == 0.0
+        assert np.all(ref[:-1] > 0.0)
+        np.testing.assert_allclose(rep.sigma_min, ref, rtol=1e-12, atol=0.0)
+
+        qm = quadruple_maps(pert, GRID)
+        if mode == "across":
+            level = rep.norms["radius"]
+            threshold = 1e-8 * np.linalg.svd(qm.input_map / np.sqrt(GRID.dt), compute_uv=False)[0]
+        else:
+            level, threshold = rep.norms["obs_constant"], rep.alpha0
+        ok = ref + 1e-9 * max(level, 1.0) >= np.maximum(rep.bound, threshold)
+        np.testing.assert_array_equal(rep.within_bound, ok)
+
+
+def _sweep_point(k, main, pert, mode):
+    """One sweep point on its own: close u = k y on the separate one-step
+    matrices of main and pert, assemble the operator block by block and
+    take its smallest singular value; 0.0 when I - k D_bar is singular."""
+    dt, N = GRID.dt, GRID.n_steps
+    E, M_B, C_bar, D_bar = lifted_quadruple(main, dt)
+    _, M_p, C_p, P_bar = lifted_quadruple(pert, dt)
+    loop = np.eye(main.m) - k * D_bar
+    sv = np.linalg.svd(loop, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
+        return 0.0
+    S = np.linalg.solve(loop, np.eye(main.m))
+    E_cl = E + k * M_B @ S @ C_bar
+    powers = [np.eye(main.n)]
+    for _ in range(N - 1):
+        powers.append(E_cl @ powers[-1])
+    if mode == "across":
+        M_cl = k * M_B @ S @ P_bar + M_p
+        op = np.hstack([powers[N - 1 - j] @ M_cl for j in range(N)]) / np.sqrt(dt)
+    else:
+        C_cl = C_p + k * P_bar @ S @ C_bar
+        op = np.vstack([C_cl @ powers[j] for j in range(N)]) * np.sqrt(dt)
+    return float(np.linalg.svd(op, compute_uv=False)[-1])

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsys import GridError, ShapeError, Signal, TimeGrid
+from regsys import GridError, Realization, ShapeError, Signal, TimeGrid, io_map, min_norm_control
+
+
+def _control_then_io_map(g: TimeGrid) -> None:
+    """A minimum-norm control on the full horizon drives io_map on g."""
+    r = Realization([[-1.0, 1.0], [0.0, -2.0]], np.eye(2), [[1.0, 0.0]], np.zeros((1, 2)))
+    u = min_norm_control(r, g, g.t_end, np.array([1.0, -1.0]))
+    assert io_map(r, g, u).grid == g
 
 
 class TestTimeGrid:
@@ -38,6 +45,22 @@ class TestTimeGrid:
             g.prefix(0)
         with pytest.raises(GridError):
             g.prefix(11)
+
+    def test_full_prefix_is_the_grid(self):
+        # 26 * (t_end / 26) rounds one ulp below t_end here
+        g = TimeGrid(0.9646419039557509, 26)
+        assert g.prefix(26) == g
+        _control_then_io_map(g)
+
+    @given(
+        t_end=st.floats(min_value=0.1, max_value=5.0, exclude_max=True),
+        n_steps=st.integers(min_value=1, max_value=199),
+    )
+    @settings(max_examples=60)
+    def test_full_prefix_property(self, t_end, n_steps):
+        g = TimeGrid(t_end, n_steps)
+        assert g.prefix(n_steps) == g
+        _control_then_io_map(g)
 
     @pytest.mark.parametrize("t_end,n_steps", [(0.0, 4), (-1.0, 4), (np.inf, 4), (1.0, 0), (1.0, -3)])
     def test_invalid_parameters(self, t_end, n_steps):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,15 +17,14 @@ from regsys import (
     io_map,
     lambda_extension,
     lifted_quadruple,
-    lifted_step,
     output_map,
     quadruple_maps,
     random_realization,
     regularity_limit,
     semigroup_step,
     transfer,
-    zoh_step,
 )
+from regsys.node import _io_toeplitz
 
 
 def scalar_system(a=-1.0, b=1.0, c=2.0, d=0.0):
@@ -117,24 +117,60 @@ class TestStepMatrices:
             semigroup_step(scalar_system(), -0.1)
 
     def test_lifted_step_scalar_closed_forms(self):
+        # with B = C = 1 and D = 0 the quadruple carries the step integrals
+        # themselves: M = M_I, C_bar dt = M_I and D_bar dt = M_J
         a, dt = -0.8, 0.37
-        ls = lifted_step(scalar_system(a=a), dt)
+        E, M, C_bar, D_bar = lifted_quadruple(scalar_system(a=a, b=1.0, c=1.0, d=0.0), dt)
         e = np.exp(a * dt)
-        assert ls.E[0, 0] == pytest.approx(e, rel=1e-13)
-        assert ls.M_I[0, 0] == pytest.approx((e - 1.0) / a, rel=1e-13)
-        assert ls.M_J[0, 0] == pytest.approx((e - 1.0 - a * dt) / a**2, rel=1e-12)
-
-    def test_lifted_step_zero_dt_refused(self):
-        with pytest.raises(ValueError):
-            lifted_step(scalar_system(), 0.0)
+        assert E[0, 0] == pytest.approx(e, rel=1e-13)
+        assert M[0, 0] == pytest.approx((e - 1.0) / a, rel=1e-13)
+        assert C_bar[0, 0] * dt == pytest.approx((e - 1.0) / a, rel=1e-13)
+        assert D_bar[0, 0] * dt == pytest.approx((e - 1.0 - a * dt) / a**2, rel=1e-12)
 
     def test_lifted_quadruple_scalar_closed_forms(self):
         a, b, c, d, dt = -1.3, 0.9, 2.0, 0.4, 0.21
         E, M, C_bar, D_bar = lifted_quadruple(scalar_system(a, b, c, d), dt)
         e = np.exp(a * dt)
+        assert E[0, 0] == pytest.approx(e, rel=1e-13)
         assert M[0, 0] == pytest.approx(b * (e - 1.0) / a, rel=1e-13)
         assert C_bar[0, 0] == pytest.approx(c * (e - 1.0) / (a * dt), rel=1e-13)
         assert D_bar[0, 0] == pytest.approx(c * b * (e - 1.0 - a * dt) / (a**2 * dt) + d, rel=1e-12)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_lifted_quadruple_nonpositive_dt_refused(self, dt):
+        with pytest.raises(ValueError):
+            lifted_quadruple(scalar_system(), dt)
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=1, max_value=3),
+        p=st.integers(min_value=1, max_value=3),
+        dt=st.floats(min_value=1e-3, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40)
+    def test_lifted_quadruple_matches_augmented_exponential(self, n, m, p, dt, seed):
+        # oracle: exp(dt [[A, I, 0], [0, 0, I], [0, 0, 0]]) carries E,
+        # M_I = int exp(As) ds and M_J = int (dt-s) exp(As) ds in its top row
+        r = random_realization(np.random.default_rng(seed), n, m, p, io_scale=None)
+        big = np.zeros((3 * n, 3 * n))
+        big[:n, :n] = r.A
+        big[:n, n : 2 * n] = np.eye(n)
+        big[n : 2 * n, 2 * n :] = np.eye(n)
+        ebig = scipy.linalg.expm(big * dt)
+        E, M_I, M_J = ebig[:n, :n], ebig[:n, n : 2 * n], ebig[:n, 2 * n :]
+        oracle = (E, M_I @ r.B, r.C @ M_I / dt, r.C @ M_J @ r.B / dt + r.D)
+        # deviations are measured against the magnitudes the products are
+        # formed from: the entries themselves can cancel (C M_J B / dt
+        # against D, or inside the inner products) below what either route
+        # resolves
+        a_c, a_b = np.abs(r.C), np.abs(r.B)
+        scales = (np.abs(E), np.abs(M_I) @ a_b, a_c @ np.abs(M_I) / dt,
+                  a_c @ np.abs(M_J) @ a_b / dt + np.abs(r.D))
+        names = ("E", "M", "C_bar", "D_bar")
+        for name, got, want, scale in zip(names, lifted_quadruple(r, dt), oracle, scales):
+            rel = np.max(np.abs(got - want)) / np.max(scale)
+            assert rel <= 1e-13, f"{name} deviates by {rel:.2e}"
 
 
 class TestGridMaps:
@@ -227,6 +263,25 @@ class TestGridMaps:
                 else:
                     ref = fio[(i - k) * p : (i - k + 1) * p, :m]
                     np.testing.assert_array_equal(block, ref)
+
+    def test_sliding_window_toeplitz_matches_double_loop(self):
+        rng = np.random.default_rng(21)
+        n, m, p, N = 3, 2, 4, 7
+        E, M = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        C, D = rng.standard_normal((p, n)), rng.standard_normal((p, m))
+        blocks = [D]
+        acc = C
+        for _ in range(N - 1):
+            blocks.append(acc @ M)
+            acc = acc @ E
+        ref = np.zeros((N * p, N * m))
+        for i in range(N):
+            for k in range(i + 1):
+                ref[i * p : (i + 1) * p, k * m : (k + 1) * m] = blocks[i - k]
+        fio = _io_toeplitz(E, M, C, D, N)
+        assert fio.flags.c_contiguous
+        np.testing.assert_array_equal(fio, ref)
+        np.testing.assert_array_equal(_io_toeplitz(E, M, C, D, 1), D)
 
     @given(
         n=st.integers(min_value=1, max_value=5),
@@ -358,10 +413,3 @@ class TestAdjointStructure:
             lhs = psi[j * p : (j + 1) * p, :].T * g.dt
             rhs = phi_adj[:, (N - 1 - j) * p : (N - j) * p]
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
-
-    def test_zoh_step_consistency(self):
-        r = scalar_system()
-        E, M = zoh_step(r, 0.25)
-        ls = lifted_step(r, 0.25)
-        np.testing.assert_array_equal(E, ls.E)
-        np.testing.assert_array_equal(M, ls.M_I @ r.B)
