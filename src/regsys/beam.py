@@ -20,6 +20,15 @@ Conservative modes are integrated by exact modal rotation (the
 exponential integrator expressed in eigencoordinates), the dissipative
 feedback mode by the matrix exponential of the closed-loop generator;
 neither has a step-size stability restriction.
+
+The modal basis is computed once per model. `simulate` is the full nodal
+path: displacement and velocity at every node and time, and every
+functional of them. The verification drivers read only the energy and the
+two boundary traces, so they evaluate only those: the rotation tables are
+built once per model and grid, the energy is evaluated at every grid node
+by the same nodal quadrature and refused on drift as in `simulate`, the
+traces w_x(1) and w_xx(0) are modal rows applied to eta(t), and the forced
+trials advance together in one modal recursion.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, expm
@@ -103,7 +113,13 @@ class BeamModel:
         return BoundaryTriple(L=L, G=G, K=K, W=W)
 
     def modal_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(omega, V) with S V = M V diag(omega^2) and V' M V = I."""
+        """(omega, V) with S V = M V diag(omega^2) and V' M V = I.
+
+        Computed once per model; the arrays are shared and read-only."""
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> tuple[np.ndarray, np.ndarray]:
         inv_sqrt_m = 1.0 / np.sqrt(self.masses)
         sym = self.stiffness * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
         sym = (sym + sym.T) / 2.0
@@ -129,7 +145,10 @@ class BeamModel:
         kw = weights[:, None] * kappa * kappa
         rq = self.dx * np.sum(kw, axis=0)
         mnorm = np.sum(V * V * self.masses[:, None], axis=0)
-        return np.sqrt(np.maximum(rq / mnorm, 0.0)), V
+        omega = np.sqrt(np.maximum(rq / mnorm, 0.0))
+        omega.flags.writeable = False
+        V.flags.writeable = False
+        return omega, V
 
 
 def beam_model(N: int, mode: str = "homogeneous", k: float = 0.0) -> BeamModel:
@@ -196,10 +215,6 @@ def _with_clamped_node(vec: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], vec])
 
 
-def _trapezoid(values: np.ndarray, dx: float) -> float:
-    return float(dx * (np.sum(values) - (values[0] + values[-1]) / 2.0))
-
-
 def _potential(model: BeamModel, w: np.ndarray) -> float:
     # evaluated through the curvature rows, not w'Sw: the row form first
     # cancels the large 1/dx^2 stencil terms, keeping rounding near eps
@@ -218,27 +233,27 @@ def energy(model: BeamModel, state: BeamState) -> float:
     return (kin + _potential(model, state.w)) / 2.0
 
 
-def _slopes(model: BeamModel, w: np.ndarray) -> np.ndarray:
-    """Nodal w_x on nodes 0..N+1: clamped end exact zero, central in the
-    interior, second-order one-sided at the tip."""
-    full = _with_clamped_node(w)
+def _trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoid quadrature of each row; a single sample set is one row."""
+    return dx * (np.sum(values, axis=1) - (values[:, 0] + values[:, -1]) / 2.0)
+
+
+def _slope_rows(model: BeamModel, w: np.ndarray) -> np.ndarray:
+    """Nodal w_x on nodes 0..N+1 for a batch of states (rows): clamped end
+    exact zero, central in the interior, second-order one-sided at the tip."""
+    full = np.concatenate([np.zeros((w.shape[0], 1)), w], axis=1)
     dx = model.dx
-    out = np.zeros(model.N + 2)
-    out[1:-1] = (full[2:] - full[:-2]) / (2.0 * dx)
-    out[-1] = (3.0 * full[-1] - 4.0 * full[-2] + full[-3]) / (2.0 * dx)
+    out = np.zeros_like(full)
+    out[:, 1:-1] = (full[:, 2:] - full[:, :-2]) / (2.0 * dx)
+    out[:, -1] = (3.0 * full[:, -1] - 4.0 * full[:, -2] + full[:, -3]) / (2.0 * dx)
     return out
-
-
-def _curvatures(model: BeamModel, w: np.ndarray) -> np.ndarray:
-    """Nodal w_xx on nodes 0..N+1 (free end exactly zero)."""
-    return np.concatenate([model.curvature_rows @ w, [0.0]])
 
 
 def multiplier_rho(model: BeamModel, state: BeamState) -> float:
     """Trapezoid quadrature of x(x-1) w_t w_x."""
     x = model.nodes()
-    vals = x * (x - 1.0) * _with_clamped_node(state.v) * _slopes(model, state.w)
-    rho = _trapezoid(vals, model.dx)
+    vals = x * (x - 1.0) * _with_clamped_node(state.v) * _slope_rows(model, state.w[None, :])[0]
+    rho = float(_trapezoid_rows(vals[None, :], model.dx)[0])
     f = energy(model, state)
     if abs(rho) > f + 1e-8 * (1.0 + f):
         raise RegsysError(f"multiplier bound violated: |rho|={abs(rho):.3e} > F={f:.3e}")
@@ -248,8 +263,8 @@ def multiplier_rho(model: BeamModel, state: BeamState) -> float:
 def multiplier_rho1(model: BeamModel, state: BeamState) -> float:
     """Trapezoid quadrature of (x-1) w_t w_x."""
     x = model.nodes()
-    vals = (x - 1.0) * _with_clamped_node(state.v) * _slopes(model, state.w)
-    rho1 = _trapezoid(vals, model.dx)
+    vals = (x - 1.0) * _with_clamped_node(state.v) * _slope_rows(model, state.w[None, :])[0]
+    rho1 = float(_trapezoid_rows(vals[None, :], model.dx)[0])
     f = energy(model, state)
     if abs(rho1) > f + 1e-8 * (1.0 + f):
         raise RegsysError(f"multiplier bound violated: |rho1|={abs(rho1):.3e} > F={f:.3e}")
@@ -289,20 +304,6 @@ class BeamTrajectory:
         return BeamState(self.w[index], self.v[index], float(self.grid.nodes[index]))
 
 
-def _trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
-    return dx * (np.sum(values, axis=1) - (values[:, 0] + values[:, -1]) / 2.0)
-
-
-def _slope_rows(model: BeamModel, w: np.ndarray) -> np.ndarray:
-    """Nodal w_x on nodes 0..N+1 for a whole batch of states (rows)."""
-    full = np.concatenate([np.zeros((w.shape[0], 1)), w], axis=1)
-    dx = model.dx
-    out = np.zeros_like(full)
-    out[:, 1:-1] = (full[:, 2:] - full[:, :-2]) / (2.0 * dx)
-    out[:, -1] = (3.0 * full[:, -1] - 4.0 * full[:, -2] + full[:, -3]) / (2.0 * dx)
-    return out
-
-
 def _functional_trace(model: BeamModel, g: TimeGrid, w: np.ndarray, v: np.ndarray) -> FunctionalTrace:
     x = model.nodes()
     dx = model.dx
@@ -319,6 +320,36 @@ def _functional_trace(model: BeamModel, g: TimeGrid, w: np.ndarray, v: np.ndarra
     return FunctionalTrace(grid=g, F=F, rho=rho, rho1=rho1, w_x_1=wx1, w_xx_0=wxx0)
 
 
+def _rotation_tables(omega: np.ndarray, times: np.ndarray) -> tuple:
+    """Exact modal rotation from t = 0, modes by times: eta(t) = cos * eta0
+    + sinc * etadot0 and etadot(t) = msin * eta0 + cos * etadot0, with
+    sinc = sin(omega t) / omega (t for a zero mode), msin = -omega sin(omega t)."""
+    phase = np.outer(omega, times)
+    coswt, sinwt = np.cos(phase), np.sin(phase)
+    sinc = np.where(omega[:, None] > 0, sinwt / np.where(omega[:, None] > 0, omega[:, None], 1.0),
+                    times[None, :])
+    return coswt, sinc, -omega[:, None] * sinwt
+
+
+def _step_coefficients(omega: np.ndarray, dt: float) -> tuple:
+    """One exact modal step under a force phi held over it: eta' = c eta +
+    sinc etadot + one_minus_cos phi and etadot' = ms eta + c etadot + sinc phi."""
+    c, s = np.cos(omega * dt), np.sin(omega * dt)
+    sinc = np.where(omega > 0, s / np.where(omega > 0, omega, 1.0), dt)
+    one_minus_cos = np.where(
+        omega > 0, (1.0 - c) / np.where(omega > 0, omega**2, 1.0), dt**2 / 2.0
+    )
+    return c, sinc, one_minus_cos, -omega * s
+
+
+def _require_conserved(F: np.ndarray) -> None:
+    """Refuse a homogeneous run whose discrete energy drifts beyond 1e-8."""
+    if F[0] > 0:
+        drift = np.max(np.abs(F - F[0])) / F[0]
+        if drift > 1e-8:
+            raise RegsysError(f"energy drift {drift:.3e} exceeds 1e-8")
+
+
 def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
              state0: BeamState | None = None) -> BeamTrajectory:
     """Integrate the semi-discrete beam exactly on the grid.
@@ -327,7 +358,8 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
     directly at every node, piecewise-constant forcing advanced step by
     step); the feedback mode uses the one-step matrix exponential of the
     closed-loop generator. Homogeneous runs assert energy conservation to
-    1e-8 relative.
+    1e-8 relative. This is the full nodal path: it keeps the displacement
+    and velocity at every node and time and every functional of them.
     """
     nd = model.n_dof
     if state0 is None:
@@ -347,23 +379,15 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
         eta0 = proj @ state0.w
         etadot0 = proj @ state0.v
         if u is None:
-            phase = np.outer(omega, times)
-            coswt, sinwt = np.cos(phase), np.sin(phase)
-            sinc = np.where(omega[:, None] > 0, sinwt / np.where(omega[:, None] > 0, omega[:, None], 1.0),
-                            times[None, :])
+            coswt, sinc, msin = _rotation_tables(omega, times)
             eta = coswt * eta0[:, None] + sinc * etadot0[:, None]
-            etadot = -omega[:, None] * sinwt * eta0[:, None] + coswt * etadot0[:, None]
+            etadot = msin * eta0[:, None] + coswt * etadot0[:, None]
             w = (V @ eta).T
             v = (V @ etadot).T
         else:
             # modal force: V' M (M^-1 (-e_tip)) u = -(V' e_tip) u
             force_dir = -V.T[:, -1]
-            dt = g.dt
-            c, s = np.cos(omega * dt), np.sin(omega * dt)
-            sinc = np.where(omega > 0, s / np.where(omega > 0, omega, 1.0), dt)
-            one_minus_cos = np.where(
-                omega > 0, (1.0 - c) / np.where(omega > 0, omega**2, 1.0), dt**2 / 2.0
-            )
+            c, sinc, one_minus_cos, ms = _step_coefficients(omega, g.dt)
             w = np.empty((len(times), nd))
             v = np.empty((len(times), nd))
             eta, etadot = eta0.copy(), etadot0.copy()
@@ -372,7 +396,7 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
             for step in range(g.n_steps):
                 phi = force_dir * uvals[step]
                 eta_new = c * eta + sinc * etadot + one_minus_cos * phi
-                etadot_new = -omega * s * eta + c * etadot + sinc * phi
+                etadot_new = ms * eta + c * etadot + sinc * phi
                 eta, etadot = eta_new, etadot_new
                 w[step + 1], v[step + 1] = V @ eta, V @ etadot
     else:
@@ -387,11 +411,60 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
             w[step + 1], v[step + 1] = state[:nd], state[nd:]
 
     trace = _functional_trace(model, g, w, v)
-    if model.mode == "homogeneous" and trace.F[0] > 0:
-        drift = np.max(np.abs(trace.F - trace.F[0])) / trace.F[0]
-        if drift > 1e-8:
-            raise RegsysError(f"energy drift {drift:.3e} exceeds 1e-8")
+    if model.mode == "homogeneous":
+        _require_conserved(trace.F)
     return BeamTrajectory(model=model, grid=g, w=w, v=v, trace=trace)
+
+
+def _free_trials(model: BeamModel, g: TimeGrid, rng: np.random.Generator,
+                 trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """F(0) and [int w_x(1)^2, int w_xx(0)^2] for `trials` random smooth
+    homogeneous states, drawn in turn from rng.
+
+    The driver-side counterpart of `simulate`: the rotation tables are
+    built once, and each trial evaluates only its energy at every grid
+    node, by the same row-form nodal quadrature, refused on drift as in
+    `simulate`, and the two traces as modal rows applied to eta(t)."""
+    omega, V = model.modal_basis()
+    proj = V.T * model.masses[None, :]
+    coswt, sinc, msin = _rotation_tables(omega, g.nodes)
+    weights = np.ones(model.n_dof)
+    weights[0] = 0.5
+    kin_rows = np.sqrt(model.masses)[:, None] * V
+    pot_rows = np.sqrt(weights)[:, None] * (model.curvature_rows @ V)
+    trace_rows = np.stack([model.slope_tip_row @ V, model.curvature_rows[0] @ V])
+    f0 = np.empty(trials)
+    integrals = np.empty((trials, 2))
+    for i in range(trials):
+        state0 = random_smooth_state(model, rng)
+        eta0, etadot0 = proj @ state0.w, proj @ state0.v
+        eta = coswt * eta0[:, None] + sinc * etadot0[:, None]
+        etadot = msin * eta0[:, None] + coswt * etadot0[:, None]
+        kin, pot = kin_rows @ etadot, pot_rows @ eta
+        F = (np.einsum("it,it->t", kin, kin) + model.dx * np.einsum("it,it->t", pot, pot)) / 2.0
+        _require_conserved(F)
+        f0[i] = F[0]
+        integrals[i] = _trapezoid_rows((trace_rows @ eta) ** 2, g.dt)
+    return f0, integrals
+
+
+def _forced_slope_integrals(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.ndarray:
+    """int w_x(1)^2 from rest under each row of held shear samples
+    (trials x grid nodes), all trials advanced together by the modal step
+    of `simulate`, reading only the tip slope."""
+    omega, V = model.modal_basis()
+    c, sinc, one_minus_cos, ms = (a[:, None] for a in _step_coefficients(omega, g.dt))
+    force_dir = -V.T[:, -1:]
+    slope = model.slope_tip_row @ V
+    eta = np.zeros((model.n_dof, inputs.shape[0]))
+    etadot = np.zeros_like(eta)
+    wx1 = np.zeros((inputs.shape[0], g.n_steps + 1))
+    for step in range(g.n_steps):
+        phi = force_dir * inputs[:, step]
+        eta, etadot = (c * eta + sinc * etadot + one_minus_cos * phi,
+                       ms * eta + c * etadot + sinc * phi)
+        wx1[:, step + 1] = slope @ eta
+    return _trapezoid_rows(wx1**2, g.dt)
 
 
 def _central_dt(values: np.ndarray, dt: float) -> np.ndarray:
@@ -516,13 +589,8 @@ def verify_admissibility_bound(N: int, T: float, trials: int, seed: int = 0,
     g = TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
     rng = np.random.default_rng(seed)
     bound_factor = 3.0 * T + 2.0
-    worst = 0.0
-    for _ in range(trials):
-        state0 = random_smooth_state(model, rng)
-        traj = simulate(model, g, state0=state0)
-        f0 = traj.trace.F[0]
-        lhs = _trapezoid(traj.trace.w_x_1**2, g.dt)
-        worst = max(worst, lhs / (bound_factor * f0))
+    f0, integrals = _free_trials(model, g, rng, trials)
+    worst = float(np.max(integrals[:, 0] / (bound_factor * f0), initial=0.0))
     return {"bound": bound_factor, "worst_ratio": worst, "trials": trials,
             "N": N, "T": T, "passed": bool(worst <= 1.05)}
 
@@ -546,14 +614,11 @@ def verify_wellposedness_bound(N: int, T: float, delta: float, input_trials: int
     g = TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
     rng = np.random.default_rng(seed)
     factor = (1.0 + 3.0 * T) * c_const
-    worst = 0.0
-    for _ in range(input_trials):
-        u = _smooth_input(g, rng)
-        traj = simulate(model, g, u=u)
-        lhs = _trapezoid(traj.trace.w_x_1**2, g.dt)
-        rhs = factor * _trapezoid(u.values[:, 0].real ** 2, g.dt)
-        if rhs > 0:
-            worst = max(worst, lhs / rhs)
+    inputs = np.array([_smooth_input(g, rng).values[:, 0].real
+                       for _ in range(input_trials)]).reshape(input_trials, len(g))
+    lhs = _forced_slope_integrals(model, g, inputs)
+    rhs = factor * _trapezoid_rows(inputs**2, g.dt)
+    worst = float(np.max(lhs[rhs > 0] / rhs[rhs > 0], initial=0.0))
     return {"bound": factor, "constant": c_const, "worst_ratio": worst,
             "trials": input_trials, "N": N, "T": T, "delta": delta,
             "passed": bool(worst <= 1.05)}
@@ -569,12 +634,7 @@ def verify_observability(N: int, T: float, trials: int, seed: int = 0,
     g = TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
     rng = np.random.default_rng(seed)
     bound_factor = T - 2.0
-    worst = math.inf
-    for _ in range(trials):
-        state0 = random_smooth_state(model, rng)
-        traj = simulate(model, g, state0=state0)
-        f0 = traj.trace.F[0]
-        lhs = _trapezoid(traj.trace.w_xx_0**2, g.dt)
-        worst = min(worst, lhs / (bound_factor * f0))
+    f0, integrals = _free_trials(model, g, rng, trials)
+    worst = float(np.min(integrals[:, 1] / (bound_factor * f0), initial=math.inf))
     return {"bound": bound_factor, "worst_ratio": worst, "trials": trials,
             "N": N, "T": T, "passed": bool(worst >= 0.95)}

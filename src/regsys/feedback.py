@@ -77,10 +77,14 @@ def admissible_feedback_check(r: Realization, fb: FeedbackGain, g: TimeGrid) -> 
     gamma = fb.matrix()
     if gamma.shape != (r.m, r.p):
         raise ShapeError(f"gamma must be {r.m} x {r.p}, got {gamma.shape}")
-    fio = quadruple_maps(r, g).io_map
-    loop = np.eye(fio.shape[0]) - fio @ np.kron(np.eye(g.n_steps), gamma)
+    return _loop_admissibility(quadruple_maps(r, g).io_map, r.D, gamma, g.n_steps)
+
+
+def _loop_admissibility(fio: np.ndarray, D: np.ndarray, gamma: np.ndarray, n_steps: int) -> dict:
+    """The verdict of `admissible_feedback_check` from a built io-map."""
+    loop = np.eye(fio.shape[0]) - fio @ np.kron(np.eye(n_steps), gamma)
     sv = np.linalg.svd(loop, compute_uv=False)
-    static = np.eye(r.p) - r.D @ gamma
+    static = np.eye(D.shape[0]) - D @ gamma
     sv_static = np.linalg.svd(static, compute_uv=False)
     ok_grid = sv[-1] > _ADMISSIBILITY_RTOL * sv[0]
     ok_static = sv_static[-1] > _ADMISSIBILITY_RTOL * sv_static[0]
@@ -232,8 +236,10 @@ def _require_shared(name: str, x: np.ndarray, y: np.ndarray) -> None:
         raise ShapeError(f"the systems must share {name}")
 
 
-def _require_identity_admissible(r: Realization, g: TimeGrid) -> None:
-    check = admissible_feedback_check(r, FeedbackGain.scaled_identity(1.0, r.m), g)
+def _require_identity_admissible(r: Realization, fio: np.ndarray, n_steps: int) -> None:
+    """Refuse when identity feedback around r, whose grid io-map is fio, is
+    not admissible."""
+    check = _loop_admissibility(fio, r.D, np.eye(r.m), n_steps)
     if not check["admissible"]:
         raise AdmissibilityError(
             "identity feedback is not admissible on this grid "
@@ -294,7 +300,8 @@ def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> Composi
     _require_shared("C", main.C, pert.C)
     if pert.p != main.p:
         raise ShapeError("perturbing output dimension must match the loop")
-    _require_identity_admissible(main, g)
+    qm_main = quadruple_maps(main, g)
+    _require_identity_admissible(main, qm_main.io_map, g.n_steps)
 
     m, q, n, N = main.m, pert.m, main.n, g.n_steps
     s_out = _inv(np.eye(m) - main.D, "I - D")
@@ -309,7 +316,6 @@ def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> Composi
     lhs = _control_columns(E_cl, M_cl, N)
 
     # discrete side, right: block composition of the open-loop maps
-    qm_main = quadruple_maps(main, g)
     qm_pert = quadruple_maps(pert, g)
     gain = np.linalg.solve(np.eye(N * m) - qm_main.io_map, qm_pert.io_map)
     rhs = qm_main.input_map @ gain + qm_pert.input_map
@@ -378,7 +384,8 @@ def perturb_cross(main: Realization, pert: Realization, g: TimeGrid) -> Composit
     _require_shared("B", main.B, pert.B)
     if pert.m != main.m:
         raise ShapeError("perturbing input dimension must match the loop")
-    _require_identity_admissible(main, g)
+    qm_main = quadruple_maps(main, g)
+    _require_identity_admissible(main, qm_main.io_map, g.n_steps)
 
     m, n, N = main.m, main.n, g.n_steps
     r_out = pert.p
@@ -392,7 +399,6 @@ def perturb_cross(main: Realization, pert: Realization, g: TimeGrid) -> Composit
     E_cl, _, C_cl, _ = _closed_step(step, m, S)
     lhs = _observation_rows(C_cl, E_cl, N)
 
-    qm_main = quadruple_maps(main, g)
     qm_pert = quadruple_maps(pert, g)
     gain = np.linalg.solve(np.eye(N * m) - qm_main.io_map, qm_main.output_map)
     rhs = qm_pert.io_map @ gain + qm_pert.output_map
@@ -470,7 +476,8 @@ def perturb_double(
     _require_shared("B", main.B, pert_c.B)
     _require_shared("DB", pert_b.B, pert_bc.B)
     _require_shared("DC", pert_c.C, pert_bc.C)
-    _require_identity_admissible(main, g)
+    qm_main = quadruple_maps(main, g)
+    _require_identity_admissible(main, qm_main.io_map, g.n_steps)
 
     m, n, N = main.m, main.n, g.n_steps
     db, dc = pert_b.B, pert_c.C
@@ -488,7 +495,6 @@ def perturb_double(
     S = _inv(np.eye(m) - step[3][:m, :m], "I - D_bar")
     lhs = _io_toeplitz(*_closed_step(step, m, S), N)
 
-    qm_main = quadruple_maps(main, g)
     fio_b = quadruple_maps(pert_b, g).io_map
     fio_c = quadruple_maps(pert_c, g).io_map
     fio_bc = quadruple_maps(pert_bc, g).io_map

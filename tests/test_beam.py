@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regsys.beam
 from regsys import (
+    BeamModel,
     BeamState,
     BoundaryTriple,
     Realization,
@@ -384,3 +386,95 @@ class TestEstimateSuites:
     def test_observability_refuses_vacuous_horizon(self):
         with pytest.raises(ValueError):
             verify_observability(N=64, T=2.0, trials=1)
+
+
+def _simulated_worst_ratio(kind, N, T, trials, seed, n_steps):
+    """worst_ratio of a verification driver recomputed by an explicit loop
+    over `simulate`, drawing from the generator in the driver's order."""
+    g = TimeGrid(T, n_steps)
+    rng = np.random.default_rng(seed)
+    ratios = []
+    if kind == "wellposedness":
+        model = beam_model(N, "shear-input")
+        factor = (1.0 + 3.0 * T) * wellposedness_constant(T, 0.05)
+        for _ in range(trials):
+            u = regsys.beam._smooth_input(g, rng)
+            traj = simulate(model, g, u=u)
+            lhs = np.trapezoid(traj.trace.w_x_1**2, dx=g.dt)
+            ratios.append(lhs / (factor * np.trapezoid(u.values[:, 0] ** 2, dx=g.dt)))
+        return max(ratios)
+    model = beam_model(N, "homogeneous")
+    for _ in range(trials):
+        traj = simulate(model, g, state0=random_smooth_state(model, rng))
+        if kind == "admissibility":
+            ratios.append(np.trapezoid(traj.trace.w_x_1**2, dx=g.dt) / ((3.0 * T + 2.0) * traj.trace.F[0]))
+        else:
+            ratios.append(np.trapezoid(traj.trace.w_xx_0**2, dx=g.dt) / ((T - 2.0) * traj.trace.F[0]))
+    return max(ratios) if kind == "admissibility" else min(ratios)
+
+
+class TestModalEngine:
+    """The verification drivers evaluate only F and the two boundary
+    traces; `simulate` is the full nodal oracle they must agree with."""
+
+    @given(N=st.integers(16, 48), trials=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           T=st.floats(0.5, 2.0))
+    @settings(max_examples=15)
+    def test_drivers_match_loop_over_simulate(self, N, trials, seed, T):
+        n_steps = int(round(150 * T))
+        cases = [
+            ("admissibility", T, verify_admissibility_bound(N, T, trials, seed=seed, n_steps=n_steps)),
+            ("wellposedness", T, verify_wellposedness_bound(N, T, 0.05, trials, seed=seed,
+                                                            n_steps=n_steps)),
+            ("observability", T + 2.0, verify_observability(N, T + 2.0, trials, seed=seed,
+                                                            n_steps=int(round(150 * (T + 2.0))))),
+        ]
+        for kind, horizon, rep in cases:
+            expect = _simulated_worst_ratio(kind, N, horizon, trials, seed,
+                                            int(round(150 * horizon)))
+            assert rep["worst_ratio"] == pytest.approx(expect, rel=1e-12, abs=0.0), kind
+
+    def test_drift_gate_fires_on_driver_path(self, monkeypatch):
+        exact = BeamModel.modal_basis
+
+        def perturbed(self):
+            omega, V = exact(self)
+            noise = np.random.default_rng(0).standard_normal(V.shape)
+            return omega, V * (1.0 + 1e-6 * noise)
+
+        monkeypatch.setattr(BeamModel, "modal_basis", perturbed)
+        with pytest.raises(RegsysError, match="energy drift"):
+            verify_admissibility_bound(N=32, T=1.0, trials=2, n_steps=200)
+        with pytest.raises(RegsysError, match="energy drift"):
+            verify_observability(N=32, T=3.0, trials=2, n_steps=600)
+
+    def test_basis_is_cached_and_read_only(self):
+        model = beam_model(20)
+        omega, V = model.modal_basis()
+        again = model.modal_basis()
+        assert again[0] is omega and again[1] is V
+        with pytest.raises(ValueError):
+            V[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            omega[0] = 1.0
+
+    @pytest.mark.parametrize("driver", [
+        lambda: verify_admissibility_bound(N=20, T=0.5, trials=3, n_steps=100),
+        lambda: verify_wellposedness_bound(N=20, T=0.5, delta=0.1, input_trials=3, n_steps=100),
+        lambda: verify_observability(N=20, T=2.5, trials=3, n_steps=250),
+    ], ids=["admissibility", "wellposedness", "observability"])
+    def test_two_eigh_calls_per_model(self, monkeypatch, driver):
+        calls = []
+        real_eigh = regsys.beam.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(regsys.beam, "eigh", counting)
+        model = beam_model(20)
+        model.modal_basis()
+        model.modal_basis()
+        assert len(calls) == 2
+        driver()
+        assert len(calls) == 4
