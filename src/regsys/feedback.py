@@ -26,6 +26,7 @@ from .node import (
     _io_toeplitz,
     _observation_rows,
     _rel_dev,
+    _spectral_norm,
     lifted_quadruple,
     quadruple_maps,
 )
@@ -82,7 +83,10 @@ def admissible_feedback_check(r: Realization, fb: FeedbackGain, g: TimeGrid) -> 
 
 def _loop_admissibility(fio: np.ndarray, D: np.ndarray, gamma: np.ndarray, n_steps: int) -> dict:
     """The verdict of `admissible_feedback_check` from a built io-map."""
-    loop = np.eye(fio.shape[0]) - fio @ np.kron(np.eye(n_steps), gamma)
+    rows, (m, p) = fio.shape[0], gamma.shape
+    # F blockdiag(gamma, ..., gamma): one m x p block product per step
+    gained = (fio.reshape(rows, n_steps, m) @ gamma).reshape(rows, n_steps * p)
+    loop = np.eye(rows) - gained
     sv = np.linalg.svd(loop, compute_uv=False)
     static = np.eye(D.shape[0]) - D @ gamma
     sv_static = np.linalg.svd(static, compute_uv=False)
@@ -340,10 +344,10 @@ def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> Composi
     phi_pert_w = qm_pert.input_map / sqdt
     sv_pert = np.linalg.svd(phi_pert_w, compute_uv=False)
     norms = {
-        "d_norm": float(np.linalg.norm(main.D, 2)),
-        "io_norm": float(np.linalg.norm(qm_main.io_map, 2)),
-        "control_norm": float(np.linalg.norm(phi_w, 2)),
-        "pert_io_norm": float(np.linalg.norm(qm_pert.io_map, 2)),
+        "d_norm": _spectral_norm(main.D),
+        "io_norm": _spectral_norm(qm_main.io_map),
+        "control_norm": _spectral_norm(phi_w),
+        "pert_io_norm": _spectral_norm(qm_pert.io_map),
         "radius": float(sv_pert[-1]) if N * q >= n else 0.0,
     }
     k0 = None
@@ -422,10 +426,10 @@ def perturb_cross(main: Realization, pert: Realization, g: TimeGrid) -> Composit
     psi_pert_w = qm_pert.output_map * sqdt
     sv_pert = np.linalg.svd(psi_pert_w, compute_uv=False)
     norms = {
-        "d_norm": float(np.linalg.norm(main.D, 2)),
-        "io_norm": float(np.linalg.norm(qm_main.io_map, 2)),
-        "pert_io_norm": float(np.linalg.norm(qm_pert.io_map, 2)),
-        "obs_norm": float(np.linalg.norm(psi_w, 2)),
+        "d_norm": _spectral_norm(main.D),
+        "io_norm": _spectral_norm(qm_main.io_map),
+        "pert_io_norm": _spectral_norm(qm_pert.io_map),
+        "obs_norm": _spectral_norm(psi_w),
         "obs_constant": float(sv_pert[-1]) if N * r_out >= n else 0.0,
     }
     theta0 = None

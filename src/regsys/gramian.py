@@ -22,7 +22,14 @@ import numpy as np
 from .errors import ControllabilityError, GridError, ShapeError
 from .feedback import _channels, _closed_step, k0_bound, theta0_bound
 from .grids import Signal, TimeGrid
-from .node import Realization, _control_columns, _observation_rows, lifted_quadruple, quadruple_maps
+from .node import (
+    Realization,
+    _control_columns,
+    _observation_rows,
+    _spectral_norm,
+    lifted_quadruple,
+    quadruple_maps,
+)
 
 _EXACTNESS_RTOL = 1e-8
 
@@ -233,9 +240,9 @@ def robustness_sweep(
     qm_pert = quadruple_maps(pert, sub)
     sqdt = np.sqrt(sub.dt)
 
-    io_norm = float(np.linalg.norm(qm_main.io_map, 2))
-    pert_io_norm = float(np.linalg.norm(qm_pert.io_map, 2))
-    d_norm = float(np.linalg.norm(main.D, 2))
+    io_norm = _spectral_norm(qm_main.io_map)
+    pert_io_norm = _spectral_norm(qm_pert.io_map)
+    d_norm = _spectral_norm(main.D)
 
     if mode == "across":
         base = qm_pert.input_map / sqdt
@@ -246,7 +253,7 @@ def robustness_sweep(
         norms = {
             "d_norm": d_norm,
             "io_norm": io_norm,
-            "control_norm": float(np.linalg.norm(qm_main.input_map / sqdt, 2)),
+            "control_norm": _spectral_norm(qm_main.input_map / sqdt),
             "pert_io_norm": pert_io_norm,
             "radius": radius,
         }
@@ -266,7 +273,7 @@ def robustness_sweep(
             "d_norm": d_norm,
             "io_norm": io_norm,
             "pert_io_norm": pert_io_norm,
-            "obs_norm": float(np.linalg.norm(qm_main.output_map * sqdt, 2)),
+            "obs_norm": _spectral_norm(qm_main.output_map * sqdt),
             "obs_constant": constant,
             "alpha0": alpha,
         }

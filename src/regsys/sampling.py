@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import TimeGrid
-from .node import Realization, quadruple_maps
+from .node import Realization, _spectral_norm, quadruple_maps
 
 
 def _stable_a(rng: np.random.Generator, n: int, abscissa: float) -> np.ndarray:
@@ -45,7 +45,7 @@ def random_realization(
     if io_scale is None:
         return r
     g = grid if grid is not None else TimeGrid(1.5, 48)
-    norm = np.linalg.norm(quadruple_maps(r, g).io_map, 2)
+    norm = _spectral_norm(quadruple_maps(r, g).io_map)
     if norm == 0.0:
         return r
     s = io_scale / norm

@@ -19,6 +19,7 @@ from regsys import (
     perturb_across,
     perturb_cross,
     perturb_double,
+    quadruple_maps,
     random_realization,
     theta0_bound,
     transfer,
@@ -165,6 +166,19 @@ class TestAdmissibilityCheck:
         out = admissible_feedback_check(r, FeedbackGain([[1.0]]), TimeGrid(1.0, 4))
         assert out["admissible"] is False
         assert out["feedthrough_sigma_min"] == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("m,p", [(2, 2), (2, 3), (3, 1)])
+    def test_blockwise_gain_matches_kron(self, m, p):
+        # oracle: the loop matrix I - F kron(I_N, gamma) formed densely
+        rng = np.random.default_rng(6)
+        r = random_realization(rng, 4, m, p, io_scale=0.3)
+        gamma = rng.standard_normal((m, p))
+        out = admissible_feedback_check(r, FeedbackGain(gamma), GRID)
+        fio = quadruple_maps(r, GRID).io_map
+        loop = np.eye(fio.shape[0]) - fio @ np.kron(np.eye(GRID.n_steps), gamma)
+        sv = np.linalg.svd(loop, compute_uv=False)
+        assert out["sigma_min"] == pytest.approx(sv[-1], rel=1e-13)
+        assert out["condition_number"] == pytest.approx(sv[0] / sv[-1], rel=1e-12)
 
     def test_gamma_shape_checked(self):
         r = random_realization(np.random.default_rng(5), 3, 2, 2)

@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -18,13 +22,15 @@ from regsys import (
     lambda_extension,
     lifted_quadruple,
     output_map,
+    across_instance,
+    perturb_across,
     quadruple_maps,
     random_realization,
     regularity_limit,
     semigroup_step,
     transfer,
 )
-from regsys.node import _io_toeplitz
+from regsys.node import _io_toeplitz, _spectral_norm
 
 
 def scalar_system(a=-1.0, b=1.0, c=2.0, d=0.0):
@@ -413,3 +419,85 @@ class TestAdjointStructure:
             lhs = psi[j * p : (j + 1) * p, :].T * g.dt
             rhs = phi_adj[:, (N - 1 - j) * p : (N - j) * p]
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
+
+
+def _draw_matrix(rng, rows, cols, kind, complex_):
+    def gauss(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=complex if complex_ else float)
+    if kind == "rank-one":
+        return np.outer(gauss(rows), gauss(cols))
+    if kind == "graded":
+        k = min(rows, cols)
+        u, _ = np.linalg.qr(gauss(rows, k))
+        v, _ = np.linalg.qr(gauss(cols, k))
+        return (u * np.logspace(0, -12, k)) @ v.conj().T
+    return gauss(rows, cols)
+
+
+class TestSpectralNorm:
+    @given(
+        rows=st.integers(min_value=1, max_value=80),
+        cols=st.integers(min_value=1, max_value=80),
+        kind=st.sampled_from(["gaussian", "rank-one", "graded", "zero"]),
+        complex_=st.booleans(),
+        exponent=st.sampled_from([-600, 0, 600]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=200)
+    def test_matches_svd_norm(self, rows, cols, kind, complex_, exponent, seed):
+        a = _draw_matrix(np.random.default_rng(seed), rows, cols, kind, complex_) * 2.0**exponent
+        got = _spectral_norm(a)
+        if kind == "zero":
+            assert got == 0.0
+            return
+        want = np.linalg.norm(a, 2)
+        assert abs(got - want) <= 1e-13 * want, f"relative deviation {abs(got - want) / want:.2e}"
+
+    def test_empty_matrix_is_zero(self):
+        assert _spectral_norm(np.zeros((0, 3))) == 0.0
+
+    def test_one_large_svd_per_across_composition(self, monkeypatch):
+        # operator norms come from the Gram kernel; the only SVD at io-map
+        # size is the sigma_min verdict of the identity-loop admissibility gate
+        g = TimeGrid(2.0, 64)
+        main, pert = across_instance(np.random.default_rng(3), g)
+        svd = np.linalg.svd
+        large = []
+
+        def counting(a, *args, **kwargs):
+            if min(np.shape(a)[-2:]) >= g.n_steps * main.m:
+                large.append(sys._getframe(1).f_code.co_name)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counting)
+        report = perturb_across(main, pert, g)
+        assert report.k0 is not None
+        assert large == ["_loop_admissibility"]
+
+    def test_no_two_norm_outside_the_kernel(self):
+        # every operator 2-norm in the package goes through _spectral_norm:
+        # no norm(x, 2) and no ord=2 anywhere else in src/regsys
+        def is_two(node):
+            return isinstance(node, ast.Constant) and node.value == 2
+
+        offenders = []
+        for path in sorted((Path(__file__).parents[1] / "src" / "regsys").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            kernel = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_spectral_norm":
+                    kernel.update(id(sub) for sub in ast.walk(node))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call) or id(node) in kernel:
+                    continue
+                ord_two = any(kw.arg == "ord" and is_two(kw.value) for kw in node.keywords)
+                norm_two = (ast.unparse(node.func).split(".")[-1] == "norm"
+                            and len(node.args) > 1 and is_two(node.args[1]))
+                if ord_two or norm_two:
+                    offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        assert offenders == []
