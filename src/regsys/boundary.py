@@ -6,42 +6,40 @@ coordinates last, L acts row-wise on the interior coordinates, and the
 trace maps G (and optionally G2) cut out the interior state space as their
 kernel. Observation rows K (and optionally W) read the extended vector.
 
-Chart convention. All restricted operators are expressed in interior
-coordinates: a kernel basis is computed orthonormally (QR of the kernel of
-the stacked traces) and then renormalized so its interior block is the
-identity. With that chart the control matrix (lam - A) S D_lam is
-independent of the shift lam exactly, not just asymptotically, and open-
-and closed-loop restrictions live in the same coordinates, which is what
-lets the feed-in composition formulas be checked as matrix identities.
+Chart convention. With n interior coordinates the stacked traces split as
+T = [T_i T_b], where the boundary block T_b is square and must be
+invertible. Every boundary object then has a closed form, computed once
+per triple with no shift:
+
+    basis = [I; -T_b^-1 T_i]        kernel of T, identity interior block
+    A     = L_ii - L_ib T_b^-1 T_i   interior rows of L on the basis
+    p     = [0; T_b^-1 e_ch]        zero-interior lift of channel ch
+    B     = L_ib T_b^-1 e_ch        interior rows of L on the lift
+
+The Dirichlet lift is D_lam = basis (lam - A)^-1 B + p, the transfer
+function of (A, B, basis, p). So B = (lam - A) (interior part of D_lam) at
+every shift, the boundary-system identity B = (lam - A_-1) D_lam, and an
+observation O has O D_lam = O basis (lam - A)^-1 B + O p, whose limit as
+lam grows is the regular feedthrough O p (Salamon 1987; Weiss 1994,
+"Transfer functions of regular linear systems"). Open- and closed-loop
+restrictions live in the same interior coordinates, which is what lets the
+feed-in composition formulas be checked as matrix identities.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, null_space
+# not called here; kept importable because perfbench/spans.py wraps them by name
+from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 
-from .errors import AdmissibilityError, ShapeError, SpectrumError
-from .node import _decode_matrix, _encode_matrix
+from .errors import AdmissibilityError, ShapeError
+from .node import Realization, _as_matrix, _decode_matrix, _encode_matrix, _spectral_norm, transfer
 
 _RANK_RTOL = 1e-10
-
-
-def _as_matrix(name: str, value, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(value, dtype=float))
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D")
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeError(f"{name} must have {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeError(f"{name} must have {cols} columns, got {m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeError(f"{name} must be finite")
-    m = np.array(m, copy=True)
-    m.setflags(write=False)
-    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +49,8 @@ class BoundaryTriple:
 
     The interior row count is derived from the shapes: extended dimension
     minus the rows of all traces. The stacked traces must have full row
-    rank and the interior coordinates must chart their kernel (both
-    checked).
+    rank (checked here, ShapeError) and their boundary block must be
+    invertible (checked when the chart is first read, AdmissibilityError).
     """
 
     L: np.ndarray = field(repr=False)
@@ -62,25 +60,24 @@ class BoundaryTriple:
     W: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        L = _as_matrix("L", self.L)
+        L = _as_matrix(self.L, "L")
         if L.shape[0] != L.shape[1]:
             raise ShapeError(f"L must be square, got {L.shape}")
-        dim = L.shape[0]
-        G = _as_matrix("G", self.G, cols=dim)
-        K = _as_matrix("K", self.K, cols=dim)
-        G2 = None if self.G2 is None else _as_matrix("G2", self.G2, cols=dim)
-        W = None if self.W is None else _as_matrix("W", self.W, cols=dim)
-        traces = G if G2 is None else np.vstack([G, G2])
-        if traces.shape[0] >= dim:
+        object.__setattr__(self, "L", L)
+        for name in ("G", "K", "G2", "W"):
+            value = getattr(self, name)
+            if value is None and name in ("G2", "W"):
+                continue
+            m = _as_matrix(value, name)
+            if m.shape[1] != L.shape[0]:
+                raise ShapeError(f"{name} must have {L.shape[0]} columns, got {m.shape[1]}")
+            object.__setattr__(self, name, m)
+        traces = self.traces()
+        if traces.shape[0] >= self.dim:
             raise ShapeError("traces leave no interior coordinates")
         sv = np.linalg.svd(traces, compute_uv=False)
         if sv[-1] <= _RANK_RTOL * sv[0]:
             raise ShapeError("stacked traces are rank deficient")
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "G2", G2)
-        object.__setattr__(self, "W", W)
 
     @property
     def dim(self) -> int:
@@ -93,6 +90,10 @@ class BoundaryTriple:
 
     def traces(self) -> np.ndarray:
         return self.G if self.G2 is None else np.vstack([self.G, self.G2])
+
+    @cached_property
+    def _chart(self) -> "RestrictedGenerator":
+        return _build_chart(self)
 
     def to_json_dict(self) -> dict:
         """Matrices in the JSON matrix format of Realization; absent optional
@@ -117,42 +118,55 @@ class BoundaryTriple:
 
 @dataclass(frozen=True, eq=False)
 class RestrictedGenerator:
-    """Interior restriction A = L on ker(traces), in interior coordinates,
-    together with the embedding of those coordinates into the extended
-    space (basis columns span the kernel; the interior block of basis is
-    the identity)."""
+    """The chart of a triple (module docstring): the interior restriction
+    a = A, the embedding basis of interior coordinates into the extended
+    space (its interior block is the identity), the zero-interior lifts of
+    all trace rows (lift, one column per trace row, channels in trace
+    order) and their control matrix (control = interior rows of L on
+    lift). Computed once per triple; the arrays are shared and read-only."""
 
     a: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
+    lift: np.ndarray = field(repr=False)
+    control: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
 
-def _restrict(L: np.ndarray, traces: np.ndarray, n_int: int) -> RestrictedGenerator:
-    kernel = null_space(traces)
-    if kernel.shape[1] != n_int:
-        raise ShapeError(
-            f"kernel dimension {kernel.shape[1]} does not match interior count {n_int}"
-        )
-    top = kernel[:n_int, :]
-    sv = np.linalg.svd(top, compute_uv=False)
-    if sv[-1] <= _RANK_RTOL * sv[0]:
-        raise AdmissibilityError("interior coordinates do not chart the trace kernel")
-    basis = kernel @ np.linalg.solve(top, np.eye(n_int))
-    a = (L @ basis)[:n_int, :]
-    return RestrictedGenerator(a=a, basis=basis)
+def _build_chart(bt: BoundaryTriple) -> RestrictedGenerator:
+    n = bt.n_interior
+    traces = bt.traces()
+    t_b = traces[:, n:]
+    sv = np.linalg.svd(t_b, compute_uv=False)
+    if sv[-1] <= _RANK_RTOL * _spectral_norm(traces):
+        raise AdmissibilityError("interior coordinates do not chart the trace kernel "
+                                 f"(boundary block of the traces has sigma_min {sv[-1]:.3e})")
+    # one solve gives T_b^-1 T_i and T_b^-1
+    x = np.linalg.solve(t_b, np.hstack([traces[:, :n], np.eye(t_b.shape[0])]))
+    x_i, x_b = x[:, :n], x[:, n:]
+    rows = bt.L[:n]
+    arrays = {
+        "a": rows[:, :n] - rows[:, n:] @ x_i,
+        "basis": np.vstack([np.eye(n), -x_i]),
+        "lift": np.vstack([np.zeros((n, t_b.shape[0])), x_b]),
+        "control": rows[:, n:] @ x_b,
+    }
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return RestrictedGenerator(**arrays)
 
 
 def restrict_generator(bt: BoundaryTriple) -> RestrictedGenerator:
-    """Restriction of L to the kernel of the stacked traces.
+    """Restriction of L to the kernel of the stacked traces, in interior
+    coordinates: the triple's chart.
 
-    Raises ShapeError on rank-deficient traces (triple construction
-    already refuses those) and AdmissibilityError when the kernel cannot
-    be charted by interior coordinates.
+    Raises AdmissibilityError when the kernel cannot be charted by interior
+    coordinates (singular boundary block); rank-deficient traces are
+    already refused at triple construction.
     """
-    return _restrict(bt.L, bt.traces(), bt.n_interior)
+    return bt._chart
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,97 +178,61 @@ class DirichletMap:
     channel: str
 
 
-def _channel_block(bt: BoundaryTriple, channel: str) -> tuple[int, int]:
+def _channel_block(bt: BoundaryTriple, channel: str) -> slice:
     b1 = bt.G.shape[0]
     if channel == "primary":
-        return 0, b1
+        return slice(0, b1)
     if channel == "secondary":
         if bt.G2 is None:
             raise ShapeError("triple has no secondary trace")
-        return b1, b1 + bt.G2.shape[0]
+        return slice(b1, b1 + bt.G2.shape[0])
     raise ValueError(f"channel must be 'primary' or 'secondary', got {channel!r}")
 
 
+def _lift_realization(bt: BoundaryTriple, channel: str, obs: np.ndarray | None = None) -> Realization:
+    """(A, B, obs basis, obs p) of one channel: its transfer function at lam
+    is obs D_lam, and its D is the feedthrough obs p (obs = I when None)."""
+    chart, cols = bt._chart, _channel_block(bt, channel)
+    c, d = chart.basis, chart.lift[:, cols]
+    if obs is not None:
+        c, d = obs @ c, obs @ d
+    return Realization(chart.a, chart.control[:, cols], c, d)
+
+
 def dirichlet_map(bt: BoundaryTriple, lam: float, channel: str = "primary") -> DirichletMap:
-    """Solve [(lam - L) interior rows; traces] z = [0; indicator] for the
-    selected channel, one column per channel input.
+    """Solution z of [(lam - L) interior rows; traces] z = [0; indicator]
+    for the selected channel, one column per channel input.
 
-    Rows are equilibrated to unit max-norm before the solve (stiffness
-    rows of discretized models are otherwise badly scaled). Raises
-    SpectrumError when lam is an eigenvalue of the restriction; the
-    defining relations G D = I and zero interior residual are validated to
-    1e-10 relative.
+    Computed as D_lam = basis (lam - A)^-1 B + p (module docstring), one
+    n x n LU per shift. Raises SpectrumError when lam is numerically an
+    eigenvalue of the restriction (the rcond gate of `transfer`).
     """
-    n_int = bt.n_interior
-    traces = bt.traces()
-    lo, hi = _channel_block(bt, channel)
-    sys = np.vstack([(lam * np.eye(bt.dim) - bt.L)[:n_int, :], traces])
-    scale = np.max(np.abs(sys), axis=1)
-    scale[scale == 0] = 1.0
-    rhs = np.zeros((bt.dim, hi - lo))
-    rhs[n_int + lo : n_int + hi, :] = np.eye(hi - lo)
-    sys_eq = sys / scale[:, None]
-    sv = np.linalg.svd(sys_eq, compute_uv=False)
-    if sv[-1] <= 1e3 * np.finfo(float).eps * sv[0]:
-        raise SpectrumError(f"shift lam={lam} is an eigenvalue of the restriction")
-    rhs_eq = rhs / scale[:, None]
-    lu, piv = lu_factor(sys_eq)
-    d = lu_solve((lu, piv), rhs_eq)
-    # fixed-precision iterative refinement: fourth-order stiffness rows put
-    # the condition number near 1/dx^4, and one direct solve leaves a
-    # residual of that size times eps
-    for _ in range(3):
-        r = rhs_eq - sys_eq @ d
-        if np.max(np.abs(r)) <= 1e-13 * max(np.max(np.abs(d)), 1.0):
-            break
-        d = d + lu_solve((lu, piv), r)
-
-    bc = traces[lo:hi, :] @ d - np.eye(hi - lo)
-    if np.max(np.abs(bc)) > 1e-10:
-        raise AdmissibilityError(f"boundary constraint violated by {np.max(np.abs(bc)):.3e}")
-    # rowwise backward error: the equilibrated rows have unit max-norm, so
-    # this is residual relative to row scale times solution size
-    resid = sys_eq[:n_int, :] @ d
-    if np.max(np.abs(resid)) > 1e-10 * max(np.max(np.abs(d)), 1.0):
-        raise AdmissibilityError(f"interior residual {np.max(np.abs(resid)):.3e}")
-    return DirichletMap(lam=float(lam), matrix=d, channel=channel)
+    return DirichletMap(lam=float(lam), matrix=transfer(_lift_realization(bt, channel), lam),
+                        channel=channel)
 
 
-def control_operator_from_triple(
-    bt: BoundaryTriple,
-    lam: float,
-    channel: str = "primary",
-    lam_check: float | None = None,
-) -> np.ndarray:
+def control_operator_from_triple(bt: BoundaryTriple, lam: float,
+                                 channel: str = "primary") -> np.ndarray:
     """Control matrix B = (lam - A) (interior part of the channel's
     Dirichlet lift), in interior coordinates.
 
-    In this chart the result does not depend on lam; that is verified at a
-    second shift (default lam + 1) to 1e-8 relative and a violation raises
-    AdmissibilityError.
+    In this chart B = L_ib T_b^-1 e_ch exactly (module docstring), so the
+    result does not depend on lam; it is read from the triple's chart.
     """
-    rg = restrict_generator(bt)
-    n_int = bt.n_interior
-
-    def build(shift: float) -> np.ndarray:
-        d = dirichlet_map(bt, shift, channel).matrix
-        return (shift * np.eye(n_int) - rg.a) @ d[:n_int, :]
-
-    b = build(lam)
-    b_check = build(lam + 1.0 if lam_check is None else lam_check)
-    dev = np.max(np.abs(b - b_check))
-    if dev > 1e-8 * max(np.max(np.abs(b)), 1.0):
-        raise AdmissibilityError(f"control matrix varies with the shift by {dev:.3e}")
-    return b
+    return bt._chart.control[:, _channel_block(bt, channel)]
 
 
 @dataclass(frozen=True, eq=False)
 class FeedthroughEstimate:
     """Richardson-extrapolated limit of (observation) * (Dirichlet lift)
-    along a geometric shift sweep. value is None when the tail did not
-    converge (residuals must decrease over the last three nodes and the
-    final one must be below 1e-4 * (1 + |value|), unless the whole tail
-    sits at rounding level)."""
+    along a geometric shift sweep.
+
+    A Neville level k >= 1 is certified when the residuals of the last
+    three nodes against it decrease and the final one is below
+    1e-4 * (1 + |value|) (or the whole tail sits at rounding level), and
+    its Richardson error estimate |level k - level k-1| is below the same
+    tolerance. value is the deepest certified level, or None when no level
+    is certified (converged is then False)."""
 
     value: np.ndarray | None
     lambdas: np.ndarray
@@ -273,9 +251,9 @@ class FeedthroughEstimate:
 
 def default_shift_sweep(bt: BoundaryTriple, n_nodes: int = 11) -> np.ndarray:
     """Geometric shifts lam_j = lam0 * 2^j, j = 0..n_nodes-1, with lam0
-    ten above the spectral abscissa of the restriction."""
-    rg = restrict_generator(bt)
-    lam0 = float(np.max(np.linalg.eigvals(rg.a).real)) + 10.0
+    ten above ||A||_inf, a bound on the spectral radius of the restriction,
+    so that every node lies past the spectrum."""
+    lam0 = float(np.linalg.norm(bt._chart.a, np.inf)) + 10.0
     return lam0 * 2.0 ** np.arange(n_nodes)
 
 
@@ -298,22 +276,23 @@ def feedthrough_estimate(
     """Feedthrough limit of the selected observation row block through the
     selected input channel.
 
-    Evaluates obs * D_lam along the sweep and extrapolates in 1/lam by a
-    Neville table on the geometric nodes. The residual trace is the raw
-    distance of each sweep sample from the extrapolated value; the
-    convergence verdict follows the tail rule documented on
-    FeedthroughEstimate. A non-convergent tail withholds the value.
+    Evaluates obs * D_lam along the sweep, one `transfer` call per shift,
+    and extrapolates in 1/lam by a Neville table on the geometric nodes.
+    The residual trace is the raw distance of each sweep sample from the
+    extrapolated value; the convergence verdict follows the rule
+    documented on FeedthroughEstimate. A non-convergent tail withholds the
+    value.
     """
     obs = _observation_block(bt, observation)
     sweep = default_shift_sweep(bt) if lambda_sweep is None else np.asarray(lambda_sweep, dtype=float)
     if sweep.size < 2 or np.any(np.diff(sweep) <= 0):
         raise ValueError("shift sweep must be increasing with at least two nodes")
 
-    samples = [obs @ dirichlet_map(bt, lam, channel).matrix for lam in sweep]
+    r = _lift_realization(bt, channel, obs)
+    samples = [transfer(r, lam) for lam in sweep]
     # Neville table in 1/lam on geometric nodes (ratio factors 2^k - 1).
     # Deeper levels sharpen resolvent-type 1/lam tails but are ruined by
-    # exponentially small tails, so take the deepest level whose residual
-    # trace the tail rule itself certifies.
+    # exponentially small tails, so take the deepest certified level.
     levels = [list(samples)]
     while len(levels[-1]) > 1:
         prev = levels[-1]
@@ -323,21 +302,24 @@ def feedthrough_estimate(
         )
     candidates = [lv[-1] for lv in levels]
 
-    def tail_ok(res: np.ndarray, scale: float) -> bool:
-        if res.size < 3:
+    def residuals_of(cand: np.ndarray) -> np.ndarray:
+        return np.array([np.max(np.abs(s - cand)) for s in samples])
+
+    def certified(k: int, res: np.ndarray) -> bool:
+        scale = 1.0 + float(np.max(np.abs(candidates[k])))
+        if res.size < 3 or np.max(np.abs(candidates[k] - candidates[k - 1])) > 1e-4 * scale:
             return False
         tail = res[-3:]
         if np.all(tail <= 1e-12 * scale):
             return True
         return bool(np.all(np.diff(tail) < 0)) and tail[-1] < 1e-4 * scale
 
-    value = None
-    residuals = np.array([np.max(np.abs(s - candidates[-1])) for s in samples])
-    converged = False
-    for cand in reversed(candidates):
-        res = np.array([np.max(np.abs(s - cand)) for s in samples])
-        if tail_ok(res, 1.0 + float(np.max(np.abs(cand)))):
-            value, residuals, converged = cand, res, True
+    # level 0 (the last sample) has no Richardson estimate and never certifies
+    value, residuals, converged = None, residuals_of(candidates[-1]), False
+    for k in range(len(candidates) - 1, 0, -1):
+        res = residuals_of(candidates[k])
+        if certified(k, res):
+            value, residuals, converged = candidates[k], res, True
             break
     return FeedthroughEstimate(
         value=value,
@@ -361,6 +343,10 @@ def _feedback_loop_inverse(k_bar: np.ndarray) -> np.ndarray:
     if sv[-1] <= 1e-8 * max(sv[0], 1.0):
         raise AdmissibilityError("I minus the feedback feedthrough is singular")
     return np.linalg.solve(loop, np.eye(loop.shape[0]))
+
+
+def _rel(formula: np.ndarray, direct: np.ndarray) -> float:
+    return float(np.max(np.abs(formula - direct)) / max(np.max(np.abs(direct)), 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,18 +378,6 @@ class FeedInReport:
         return doc
 
 
-def _closed_triple(bt: BoundaryTriple, feedback_obs: np.ndarray) -> BoundaryTriple:
-    """Triple of the loop G z = (feedback_obs) z: the homogeneous trace is
-    G - feedback_obs; the secondary trace becomes the input channel."""
-    if feedback_obs.shape[0] != bt.G.shape[0]:
-        raise ShapeError("feedback observation rows must match the primary trace")
-    if bt.G2 is not None:
-        return BoundaryTriple(L=bt.L, G=bt.G2, G2=bt.G - feedback_obs, K=bt.K, W=bt.W)
-    # no input channel left; park a zero-column trace? not representable:
-    # loop-only triples are handled by the observe path
-    raise ShapeError("triple has no secondary trace to take input through")
-
-
 def close_boundary_loop(bt: BoundaryTriple, gain: float | np.ndarray = 1.0,
                         observation: str = "K") -> RestrictedGenerator:
     """Restrict the generator to the loop (primary trace) = gain * (obs z)
@@ -424,47 +398,6 @@ def close_boundary_loop(bt: BoundaryTriple, gain: float | np.ndarray = 1.0,
     return restrict_generator(closed)
 
 
-def feed_in_control(bt: BoundaryTriple, lam: float | None = None,
-                    lambda_sweep: np.ndarray | None = None) -> FeedInReport:
-    """Close the loop (primary trace) = K z and keep the secondary trace as
-    the input: returns the closed generator and the composite control
-    matrix B1 (I - Kbar1)^-1 Kbar2 + B2, verified against the direct
-    restriction of the closed-loop triple.
-    """
-    if bt.G2 is None:
-        raise ShapeError("feed_in_control needs a secondary trace")
-    if bt.K.shape[0] != bt.G.shape[0]:
-        raise ShapeError("K must have as many rows as the primary trace to close the loop")
-    rg = restrict_generator(bt)
-    if lam is None:
-        lam = float(np.max(np.linalg.eigvals(rg.a).real)) + 2.0
-    b1 = control_operator_from_triple(bt, lam, "primary")
-    b2 = control_operator_from_triple(bt, lam, "secondary")
-    est1 = feedthrough_estimate(bt, lambda_sweep, "primary", "K")
-    est2 = feedthrough_estimate(bt, lambda_sweep, "secondary", "K")
-    k1 = _require_feedthrough(est1, "primary")
-    k2 = _require_feedthrough(est2, "secondary")
-    inv_loop = _feedback_loop_inverse(k1)
-    b_formula = b1 @ inv_loop @ k2 + b2
-
-    closed = _closed_triple(bt, bt.K)
-    rg_cl = restrict_generator(closed)
-    lam_cl = float(np.max(np.linalg.eigvals(rg_cl.a).real)) + 2.0
-    b_direct = control_operator_from_triple(closed, lam_cl, "primary")
-    c_closed = bt.K @ rg_cl.basis
-    dev_b = float(np.max(np.abs(b_formula - b_direct)) / max(np.max(np.abs(b_direct)), 1.0))
-
-    return FeedInReport(
-        realization_matrices={"a": rg_cl.a, "b": b_formula, "b_direct": b_direct, "c": c_closed,
-                              "d": inv_loop @ k2},
-        deviation_b=dev_b,
-        deviation_c=None,
-        deviation_d=None,
-        feedthroughs={"k_bar_primary": k1, "k_bar_secondary": k2},
-        residual_traces={"primary": est1.residuals, "secondary": est2.residuals},
-    )
-
-
 def feed_in_observe(bt: BoundaryTriple, lambda_sweep: np.ndarray | None = None) -> FeedInReport:
     """Close the loop (primary trace) = W z and keep K as the output:
     returns the closed generator with the retained observation, which per
@@ -481,31 +414,27 @@ def feed_in_observe(bt: BoundaryTriple, lambda_sweep: np.ndarray | None = None) 
     est_k = feedthrough_estimate(bt, lambda_sweep, "primary", "K")
     q_bar = _require_feedthrough(est_q, "feedback observation")
     k_bar = _require_feedthrough(est_k, "retained observation")
-    c_q = bt.W @ rg.basis
-    c_k = bt.K @ rg.basis
     inv_loop = _feedback_loop_inverse(q_bar)
-    c_formula = c_k + k_bar @ inv_loop @ c_q
+    c_formula = bt.K @ rg.basis + k_bar @ inv_loop @ (bt.W @ rg.basis)
 
-    stack = [bt.G - bt.W] + ([bt.G2] if bt.G2 is not None else [])
-    traces_cl = np.vstack(stack)
-    rg_cl = _restrict(bt.L, traces_cl, bt.dim - traces_cl.shape[0])
+    rg_cl = restrict_generator(BoundaryTriple(L=bt.L, G=bt.G - bt.W, G2=bt.G2, K=bt.K))
     c_direct = bt.K @ rg_cl.basis
-    dev_c = float(np.max(np.abs(c_formula - c_direct)) / max(np.max(np.abs(c_direct)), 1.0))
 
     return FeedInReport(
         realization_matrices={"a": rg_cl.a, "c": c_formula, "c_direct": c_direct},
         deviation_b=None,
-        deviation_c=dev_c,
+        deviation_c=_rel(c_formula, c_direct),
         deviation_d=None,
         feedthroughs={"q_bar": q_bar, "k_bar": k_bar},
         residual_traces={"feedback": est_q.residuals, "retained": est_k.residuals},
     )
 
 
-def feed_in_full(bt: BoundaryTriple, lam: float | None = None,
-                 lambda_sweep: np.ndarray | None = None) -> FeedInReport:
+def feed_in_full(bt: BoundaryTriple, lambda_sweep: np.ndarray | None = None) -> FeedInReport:
     """Close the loop (primary trace) = K z, input through the secondary
-    trace, observe W: full composite with feedthrough
+    trace, observe W: full composite with control matrix
+        B1 (I - Kbar1)^-1 Kbar2 + B2
+    and feedthrough
         Wbar1 (I - Kbar1)^-1 Kbar2 + Wbar2,
     each piece verified against the direct closed-loop triple (generator,
     control matrix, observation, and the closed loop's own feedthrough
@@ -515,48 +444,39 @@ def feed_in_full(bt: BoundaryTriple, lam: float | None = None,
     if bt.K.shape[0] != bt.G.shape[0]:
         raise ShapeError("K must have as many rows as the primary trace to close the loop")
     rg = restrict_generator(bt)
-    if lam is None:
-        lam = float(np.max(np.linalg.eigvals(rg.a).real)) + 2.0
-    b1 = control_operator_from_triple(bt, lam, "primary")
-    b2 = control_operator_from_triple(bt, lam, "secondary")
-    k1 = _require_feedthrough(feedthrough_estimate(bt, lambda_sweep, "primary", "K"), "K primary")
-    k2 = _require_feedthrough(feedthrough_estimate(bt, lambda_sweep, "secondary", "K"), "K secondary")
-    est_w1 = feedthrough_estimate(bt, lambda_sweep, "primary", "W")
-    est_w2 = feedthrough_estimate(bt, lambda_sweep, "secondary", "W")
-    w1 = _require_feedthrough(est_w1, "W primary")
-    w2 = _require_feedthrough(est_w2, "W secondary")
+    b1 = rg.control[:, _channel_block(bt, "primary")]
+    b2 = rg.control[:, _channel_block(bt, "secondary")]
+    est = {(ch, obs): feedthrough_estimate(bt, lambda_sweep, ch, obs)
+           for ch in ("primary", "secondary") for obs in ("K", "W")}
+    k1 = _require_feedthrough(est["primary", "K"], "K primary")
+    k2 = _require_feedthrough(est["secondary", "K"], "K secondary")
+    w1 = _require_feedthrough(est["primary", "W"], "W primary")
+    w2 = _require_feedthrough(est["secondary", "W"], "W secondary")
     inv_loop = _feedback_loop_inverse(k1)
     b_formula = b1 @ inv_loop @ k2 + b2
     d_formula = w1 @ inv_loop @ k2 + w2
-
-    closed = _closed_triple(bt, bt.K)
-    rg_cl = restrict_generator(closed)
-    lam_cl = float(np.max(np.linalg.eigvals(rg_cl.a).real)) + 2.0
-    b_direct = control_operator_from_triple(closed, lam_cl, "primary")
-    c_direct = bt.W @ rg_cl.basis
     # retained observation on the closed domain, composed through the loop
     c_formula = bt.W @ rg.basis + w1 @ inv_loop @ (bt.K @ rg.basis)
 
-    sweep_cl = None
-    if lambda_sweep is not None:
-        sweep_cl = np.asarray(lambda_sweep, dtype=float)
-    est_d = feedthrough_estimate(closed, sweep_cl, "primary", "W")
+    # the closed loop G z = K z; the secondary trace becomes its input
+    closed = BoundaryTriple(L=bt.L, G=bt.G2, G2=bt.G - bt.K, K=bt.K, W=bt.W)
+    rg_cl = restrict_generator(closed)
+    b_direct = rg_cl.control[:, _channel_block(closed, "primary")]
+    c_direct = bt.W @ rg_cl.basis
+    est_d = feedthrough_estimate(closed, lambda_sweep, "primary", "W")
     d_direct = _require_feedthrough(est_d, "composite")
-
-    dev_b = float(np.max(np.abs(b_formula - b_direct)) / max(np.max(np.abs(b_direct)), 1.0))
-    dev_c = float(np.max(np.abs(c_formula - c_direct)) / max(np.max(np.abs(c_direct)), 1.0))
-    dev_d = float(np.max(np.abs(d_formula - d_direct)) / max(np.max(np.abs(d_direct)), 1.0))
 
     return FeedInReport(
         realization_matrices={"a": rg_cl.a, "b": b_formula, "b_direct": b_direct,
                               "c": c_formula, "c_direct": c_direct,
                               "d": d_formula, "d_direct": d_direct},
-        deviation_b=dev_b,
-        deviation_c=dev_c,
-        deviation_d=dev_d,
+        deviation_b=_rel(b_formula, b_direct),
+        deviation_c=_rel(c_formula, c_direct),
+        deviation_d=_rel(d_formula, d_direct),
         feedthroughs={"k_bar_primary": k1, "k_bar_secondary": k2,
                       "w_bar_primary": w1, "w_bar_secondary": w2},
-        residual_traces={"w_primary": est_w1.residuals, "w_secondary": est_w2.residuals,
+        residual_traces={"w_primary": est["primary", "W"].residuals,
+                         "w_secondary": est["secondary", "W"].residuals,
                          "composite": est_d.residuals},
     )
 
