@@ -342,12 +342,13 @@ def _step_coefficients(omega: np.ndarray, dt: float) -> tuple:
     return c, sinc, one_minus_cos, -omega * s
 
 
-def _require_conserved(F: np.ndarray) -> None:
-    """Refuse a homogeneous run whose discrete energy drifts beyond 1e-8."""
-    if F[0] > 0:
-        drift = np.max(np.abs(F - F[0])) / F[0]
-        if drift > 1e-8:
-            raise RegsysError(f"energy drift {drift:.3e} exceeds 1e-8")
+def _require_conserved(F: np.ndarray) -> float:
+    """The drift max |F - F(0)| / F(0) of a homogeneous run (0.0 when F(0)
+    is 0), refused beyond 1e-8."""
+    drift = float(np.max(np.abs(F - F[0])) / F[0]) if F[0] > 0 else 0.0
+    if drift > 1e-8:
+        raise RegsysError(f"energy drift {drift:.3e} exceeds 1e-8")
+    return drift
 
 
 def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
@@ -417,9 +418,10 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
 
 
 def _free_trials(model: BeamModel, g: TimeGrid, rng: np.random.Generator,
-                 trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """F(0) and [int w_x(1)^2, int w_xx(0)^2] for `trials` random smooth
-    homogeneous states, drawn in turn from rng.
+                 trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F(0), [int w_x(1)^2, int w_xx(0)^2] and the energy drift
+    max |F - F(0)| / F(0) for `trials` random smooth homogeneous states,
+    drawn in turn from rng.
 
     The driver-side counterpart of `simulate`: the rotation tables are
     built once, and each trial evaluates only its energy at every grid
@@ -433,7 +435,7 @@ def _free_trials(model: BeamModel, g: TimeGrid, rng: np.random.Generator,
     kin_rows = np.sqrt(model.masses)[:, None] * V
     pot_rows = np.sqrt(weights)[:, None] * (model.curvature_rows @ V)
     trace_rows = np.stack([model.slope_tip_row @ V, model.curvature_rows[0] @ V])
-    f0 = np.empty(trials)
+    f0, drift = np.empty(trials), np.empty(trials)
     integrals = np.empty((trials, 2))
     # modes x nodes buffers shared by every trial, filled with the same
     # operations in the same order as fresh arrays would be (bit-identical)
@@ -448,10 +450,10 @@ def _free_trials(model: BeamModel, g: TimeGrid, rng: np.random.Generator,
         np.matmul(kin_rows, etadot, out=kin)
         np.matmul(pot_rows, eta, out=pot)
         F = (np.einsum("it,it->t", kin, kin) + model.dx * np.einsum("it,it->t", pot, pot)) / 2.0
-        _require_conserved(F)
+        drift[i] = _require_conserved(F)
         f0[i] = F[0]
         integrals[i] = _trapezoid_rows((trace_rows @ eta) ** 2, g.dt)
-    return f0, integrals
+    return f0, integrals, drift
 
 
 def _forced_slope_integrals(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.ndarray:
@@ -595,7 +597,7 @@ def verify_admissibility_bound(N: int, T: float, trials: int, seed: int = 0,
     g = TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
     rng = np.random.default_rng(seed)
     bound_factor = 3.0 * T + 2.0
-    f0, integrals = _free_trials(model, g, rng, trials)
+    f0, integrals, _ = _free_trials(model, g, rng, trials)
     worst = float(np.max(integrals[:, 0] / (bound_factor * f0), initial=0.0))
     return {"bound": bound_factor, "worst_ratio": worst, "trials": trials,
             "N": N, "T": T, "passed": bool(worst <= 1.05)}
@@ -640,7 +642,7 @@ def verify_observability(N: int, T: float, trials: int, seed: int = 0,
     g = TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
     rng = np.random.default_rng(seed)
     bound_factor = T - 2.0
-    f0, integrals = _free_trials(model, g, rng, trials)
+    f0, integrals, _ = _free_trials(model, g, rng, trials)
     worst = float(np.min(integrals[:, 1] / (bound_factor * f0), initial=math.inf))
     return {"bound": bound_factor, "worst_ratio": worst, "trials": trials,
             "N": N, "T": T, "passed": bool(worst >= 0.95)}

@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .beam import (
     BeamState,
+    _free_trials,
     beam_model,
     beam_transfer_H,
     beam_transfer_H1,
-    random_smooth_state,
     rho1_derivative_check,
     rho_derivative_check,
     simulate,
@@ -189,7 +189,8 @@ def _run_radius(cfg: dict):
         cols = rows + int(rng.integers(0, 4))
         mat = rng.standard_normal((rows, cols))
         s0 = surjectivity_radius(mat)
-        sig_max = float(np.linalg.svd(mat, compute_uv=False)[0])
+        u, s, vt = np.linalg.svd(mat)
+        sig_max = float(s[0])
 
         direction = rng.standard_normal(mat.shape)
         direction *= 0.99 * s0 / np.linalg.svd(direction, compute_uv=False)[0]
@@ -198,7 +199,6 @@ def _run_radius(cfg: dict):
         if sig_after <= 1e-12 * max(sig_max, 1.0):
             safe_failures += 1
 
-        u, s, vt = np.linalg.svd(mat)
         kill = -s0 * np.outer(u[:, -1], vt[rows - 1, :])
         sig_killed = float(np.linalg.svd(mat + kill, compute_uv=False)[-1])
         if sig_killed > 1e-8 * max(sig_max, 1.0):
@@ -358,14 +358,9 @@ def _run_beam_bounds(cfg: dict):
     adm = verify_admissibility_bound(N, T, trials, seed=seed)
     wp = verify_wellposedness_bound(N, T, delta, trials, seed=seed + 1)
 
-    model = beam_model(N, "homogeneous")
-    rng = np.random.default_rng(seed + 2)
-    drift_grid = TimeGrid(4.0, 2000)
-    worst_drift = 0.0
-    for _ in range(min(trials, 10)):
-        traj = simulate(model, drift_grid, state0=random_smooth_state(model, rng))
-        worst_drift = max(worst_drift,
-                          float(np.max(np.abs(traj.trace.F - traj.trace.F[0])) / traj.trace.F[0]))
+    _, _, drift = _free_trials(beam_model(N, "homogeneous"), TimeGrid(4.0, 2000),
+                               np.random.default_rng(seed + 2), min(trials, 10))
+    worst_drift = float(np.max(drift))
 
     residuals = {"rho": [], "rho1": []}
     levels = [max(N // 4, 8), max(N // 2, 8), N]

@@ -10,6 +10,14 @@ by step (a per-step recursion on the lifted one-step matrices), the right
 side by the block-matrix composition formula. Both sides describe the same
 discrete object through different code paths, so they must agree to
 rounding, not merely to discretization order.
+
+The three compositions are one linear-fractional check, `_compose`, of
+identity feedback closed over the first m channels of a stack carrying the
+perturbing channels too. Each theorem supplies its closed-loop form, the
+stack, the grid map the left side reads, the blocks of the right side
+F21 (I - F)^-1 F12 + F22, and a transfer probe (the stack with the state
+read out or fed in) whose closed transfer must equal G22 + G21 (I - G11)^-1
+G12 of the open one, both through `node.transfer` and its singularity gate.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .node import (
     _spectral_norm,
     lifted_quadruple,
     quadruple_maps,
+    transfer,
 )
 
 _ADMISSIBILITY_RTOL = 1e-8
@@ -240,29 +249,27 @@ def _require_shared(name: str, x: np.ndarray, y: np.ndarray) -> None:
         raise ShapeError(f"the systems must share {name}")
 
 
-def _require_identity_admissible(r: Realization, fio: np.ndarray, n_steps: int) -> None:
-    """Refuse when identity feedback around r, whose grid io-map is fio, is
-    not admissible."""
-    check = _loop_admissibility(fio, r.D, np.eye(r.m), n_steps)
-    if not check["admissible"]:
-        raise AdmissibilityError(
-            "identity feedback is not admissible on this grid "
-            f"(sigma_min={check['sigma_min']:.3e})"
-        )
+def _channels(main: Realization, b=None, c=None, bc=None) -> Realization:
+    """main with extra channels stacked on: the input (B, D) of b beside its
+    (B, D), the output (C, D) of c below its (C, D) and, when both are
+    given, the feedthrough of bc in the corner (zero when bc is None)."""
+    B, C, D = main.B, main.C, main.D
+    if b is not None:
+        B, D = np.hstack([B, b.B]), np.hstack([D, b.D])
+    if c is not None:
+        corner = [] if b is None else [np.zeros((c.p, b.m)) if bc is None else bc.D]
+        C, D = np.vstack([C, c.C]), np.vstack([D, np.hstack([c.D, *corner])])
+    return Realization(main.A, B, C, D)
 
 
-def _lambda_samples(*systems: Realization) -> tuple:
-    shift = max(s.spectral_abscissa() for s in systems) + 1.0
-    return tuple(base + shift for base in (1.0, 2.0, 5.0, 10.0))
+def _readout(r: Realization) -> Realization:
+    """(A, B, I, 0): r observed through its whole state."""
+    return Realization(r.A, r.B, np.eye(r.n), np.zeros((r.n, r.m)))
 
 
-def _channels(main: Realization, pert: Realization, mode: str) -> Realization:
-    """main with the perturbing channel of pert stacked on: its input
-    (DB, P) beside (B, D) for mode "across", its output (DC, P) below (C, D)
-    for mode "cross"."""
-    if mode == "across":
-        return Realization(main.A, np.hstack([main.B, pert.B]), main.C, np.hstack([main.D, pert.D]))
-    return Realization(main.A, main.B, np.vstack([main.C, pert.C]), np.vstack([main.D, pert.D]))
+def _feed(r: Realization) -> Realization:
+    """(A, I, C, 0): r driven straight into its state."""
+    return Realization(r.A, np.eye(r.n), r.C, np.zeros((r.p, r.n)))
 
 
 def _closed_step(step: tuple, m: int, S: np.ndarray, k=1.0) -> tuple:
@@ -282,6 +289,80 @@ def _closed_step(step: tuple, m: int, S: np.ndarray, k=1.0) -> tuple:
         C[m:] + D[m:, :m] @ kS @ C_y,
         D[m:, m:] + D[m:, :m] @ kS @ D[:m, m:],
     )
+
+
+def _margin_norms(mode: str, qm_main, qm_pert, D: np.ndarray, dt: float) -> tuple:
+    """(norms, level, top) of the gain margin k0 (mode "across") or theta0
+    (mode "cross") in discrete-L2 coordinates. level is the radius of
+    surjectivity or the observability constant of the perturbing map (0.0
+    when it is too narrow), top its largest singular value; each caller
+    gates level against top at its own threshold."""
+    sqdt = np.sqrt(dt)
+    norms = {"d_norm": _spectral_norm(D), "io_norm": _spectral_norm(qm_main.io_map),
+             "pert_io_norm": _spectral_norm(qm_pert.io_map)}
+    if mode == "across":
+        base = qm_pert.input_map / sqdt
+        norms["control_norm"] = _spectral_norm(qm_main.input_map / sqdt)
+        wide = base.shape[1] >= base.shape[0]
+    else:
+        base = qm_pert.output_map * sqdt
+        norms["obs_norm"] = _spectral_norm(qm_main.output_map * sqdt)
+        wide = base.shape[0] >= base.shape[1]
+    sv = np.linalg.svd(base, compute_uv=False)
+    level = float(sv[-1]) if wide else 0.0
+    norms["radius" if mode == "across" else "obs_constant"] = level
+    return norms, level, float(sv[0])
+
+
+def _compose(theorem: str, main: Realization, perts: tuple, g: TimeGrid,
+             close, stack: Realization, left, blocks, probe) -> CompositionReport:
+    """The composition report of identity feedback around the square system
+    main, perturbed through perts. close(A^I, (I - D)^-1) is the published
+    closed loop; left reads the closed one-step quadruple of the stack as a
+    grid map; blocks(maps of main, maps of each of perts) gives (F12, F21,
+    F22); probe(closed loop) gives the open and the closed transfer probe,
+    whose channels past the first m carry the transfer identity."""
+    qm_main = quadruple_maps(main, g)
+    m, N = main.m, g.n_steps
+    check = _loop_admissibility(qm_main.io_map, main.D, np.eye(m), N)
+    if not check["admissible"]:
+        raise AdmissibilityError("identity feedback is not admissible on this grid "
+                                 f"(sigma_min={check['sigma_min']:.3e})")
+    s_out = _inv(np.eye(m) - main.D, "I - D")
+    closed = close(main.A + main.B @ s_out @ main.C, s_out)
+
+    # discrete side, left: close the loop step by step
+    step = lifted_quadruple(stack, g.dt)
+    S = _inv(np.eye(m) - step[3][:m, :m], "I - D_bar")
+    lhs = left(*_closed_step(step, m, S), N)
+
+    # discrete side, right: block composition of the open-loop maps
+    qm_perts = [quadruple_maps(pert, g) for pert in perts]
+    f12, f21, f22 = blocks(qm_main, *qm_perts)
+    rhs = f21 @ np.linalg.solve(np.eye(N * m) - qm_main.io_map, f12) + f22
+
+    # transfer side: the closed probe against G22 + G21 (I - G11)^-1 G12 of
+    # the open probe, at real frequencies clear of both spectra
+    shift = max(main.spectral_abscissa(), closed.spectral_abscissa()) + 1.0
+    lambdas = tuple(base + shift for base in (1.0, 2.0, 5.0, 10.0))
+    open_probe, closed_probe = probe(closed)
+    dev_transfer = 0.0
+    for lam in lambdas:
+        G = transfer(open_probe, lam)
+        lft = G[m:, m:] + G[m:, :m] @ np.linalg.solve(np.eye(m) - G[:m, :m], G[:m, m:])
+        dev_transfer = max(dev_transfer, _rel_dev(transfer(closed_probe, lam), lft))
+
+    norms = k0 = theta0 = None
+    if theorem != "bcross":
+        norms, level, top = _margin_norms(theorem, qm_main, qm_perts[0], main.D, g.dt)
+        if level > 1e-12 * max(top, 1.0):
+            if theorem == "across":
+                k0 = k0_bound(norms)
+            else:
+                norms = dict(norms, alpha0=level / 2.0)
+                theta0 = theta0_bound(norms)
+    return CompositionReport(theorem, closed, lhs, rhs, _rel_dev(lhs, rhs), dev_transfer,
+                             lambdas, g, k0=k0, theta0=theta0, norms=norms)
 
 
 def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> CompositionReport:
@@ -304,67 +385,14 @@ def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> Composi
     _require_shared("C", main.C, pert.C)
     if pert.p != main.p:
         raise ShapeError("perturbing output dimension must match the loop")
-    qm_main = quadruple_maps(main, g)
-    _require_identity_admissible(main, qm_main.io_map, g.n_steps)
-
-    m, q, n, N = main.m, pert.m, main.n, g.n_steps
-    s_out = _inv(np.eye(m) - main.D, "I - D")
-    a_closed = main.A + main.B @ s_out @ main.C
-    b_closed = main.B @ s_out @ pert.D + pert.B
-    closed = Realization(a_closed, b_closed, s_out @ main.C, s_out @ pert.D)
-
-    # discrete side, left: close the loop step by step
-    step = lifted_quadruple(_channels(main, pert, "across"), g.dt)
-    S = _inv(np.eye(m) - step[3][:m, :m], "I - D_bar")
-    E_cl, M_cl, _, _ = _closed_step(step, m, S)
-    lhs = _control_columns(E_cl, M_cl, N)
-
-    # discrete side, right: block composition of the open-loop maps
-    qm_pert = quadruple_maps(pert, g)
-    gain = np.linalg.solve(np.eye(N * m) - qm_main.io_map, qm_pert.io_map)
-    rhs = qm_main.input_map @ gain + qm_pert.input_map
-    deviation_time = _rel_dev(lhs, rhs)
-
-    # transfer side at sampled frequencies
-    lambdas = _lambda_samples(main, closed)
-    dev_transfer = 0.0
-    eye_n = np.eye(n)
-    for lam in lambdas:
-        r_b = np.linalg.solve(lam * eye_n - main.A, main.B)
-        r_d = np.linalg.solve(lam * eye_n - main.A, pert.B)
-        g_main = main.C @ r_b + main.D
-        g_pert = main.C @ r_d + pert.D
-        rhs_lam = r_b @ np.linalg.solve(np.eye(m) - g_main, g_pert) + r_d
-        lhs_lam = np.linalg.solve(lam * eye_n - a_closed, b_closed)
-        dev_transfer = max(dev_transfer, _rel_dev(lhs_lam, rhs_lam))
-
-    # margin data from the weighted grid matrices
-    sqdt = np.sqrt(g.dt)
-    phi_w = qm_main.input_map / sqdt
-    phi_pert_w = qm_pert.input_map / sqdt
-    sv_pert = np.linalg.svd(phi_pert_w, compute_uv=False)
-    norms = {
-        "d_norm": _spectral_norm(main.D),
-        "io_norm": _spectral_norm(qm_main.io_map),
-        "control_norm": _spectral_norm(phi_w),
-        "pert_io_norm": _spectral_norm(qm_pert.io_map),
-        "radius": float(sv_pert[-1]) if N * q >= n else 0.0,
-    }
-    k0 = None
-    if norms["radius"] > 1e-12 * max(sv_pert[0], 1.0):
-        k0 = k0_bound(norms)
-
-    return CompositionReport(
-        theorem="across",
-        closed_loop=closed,
-        lhs=lhs,
-        rhs=rhs,
-        deviation_time=deviation_time,
-        deviation_transfer=dev_transfer,
-        lambda_samples=lambdas,
-        grid=g,
-        k0=k0,
-        norms=norms,
+    return _compose(
+        "across", main, (pert,), g,
+        close=lambda a, s: Realization(a, main.B @ s @ pert.D + pert.B, s @ main.C, s @ pert.D),
+        stack=_channels(main, b=pert),
+        left=lambda E, M, C, D, N: _control_columns(E, M, N),
+        blocks=lambda qm, qp: (qp.io_map, qm.input_map, qp.input_map),
+        # the state read out: (lam - A^I)^-1 B^I against the resolvent side
+        probe=lambda cl: (_channels(main, b=pert, c=_readout(main)), _readout(cl)),
     )
 
 
@@ -388,67 +416,14 @@ def perturb_cross(main: Realization, pert: Realization, g: TimeGrid) -> Composit
     _require_shared("B", main.B, pert.B)
     if pert.m != main.m:
         raise ShapeError("perturbing input dimension must match the loop")
-    qm_main = quadruple_maps(main, g)
-    _require_identity_admissible(main, qm_main.io_map, g.n_steps)
-
-    m, n, N = main.m, main.n, g.n_steps
-    r_out = pert.p
-    s_out = _inv(np.eye(m) - main.D, "I - D")
-    a_closed = main.A + main.B @ s_out @ main.C
-    c_closed = pert.D @ s_out @ main.C + pert.C
-    closed = Realization(a_closed, main.B @ s_out, c_closed, pert.D @ s_out)
-
-    step = lifted_quadruple(_channels(main, pert, "cross"), g.dt)
-    S = _inv(np.eye(m) - step[3][:m, :m], "I - D_bar")
-    E_cl, _, C_cl, _ = _closed_step(step, m, S)
-    lhs = _observation_rows(C_cl, E_cl, N)
-
-    qm_pert = quadruple_maps(pert, g)
-    gain = np.linalg.solve(np.eye(N * m) - qm_main.io_map, qm_main.output_map)
-    rhs = qm_pert.io_map @ gain + qm_pert.output_map
-    deviation_time = _rel_dev(lhs, rhs)
-
-    lambdas = _lambda_samples(main, closed)
-    dev_transfer = 0.0
-    eye_n = np.eye(n)
-    for lam in lambdas:
-        r_b = np.linalg.solve(lam * eye_n - main.A, main.B)
-        g_main = main.C @ r_b + main.D
-        g_pert = pert.C @ r_b + pert.D
-        res_rows = np.linalg.solve((lam * eye_n - main.A).T, main.C.T).T
-        res_rows_pert = np.linalg.solve((lam * eye_n - main.A).T, pert.C.T).T
-        rhs_lam = np.linalg.solve((np.eye(m) - g_main).T, g_pert.T).T @ res_rows + res_rows_pert
-        lhs_lam = np.linalg.solve((lam * eye_n - a_closed).T, c_closed.T).T
-        dev_transfer = max(dev_transfer, _rel_dev(lhs_lam, rhs_lam))
-
-    sqdt = np.sqrt(g.dt)
-    psi_w = qm_main.output_map * sqdt
-    psi_pert_w = qm_pert.output_map * sqdt
-    sv_pert = np.linalg.svd(psi_pert_w, compute_uv=False)
-    norms = {
-        "d_norm": _spectral_norm(main.D),
-        "io_norm": _spectral_norm(qm_main.io_map),
-        "pert_io_norm": _spectral_norm(qm_pert.io_map),
-        "obs_norm": _spectral_norm(psi_w),
-        "obs_constant": float(sv_pert[-1]) if N * r_out >= n else 0.0,
-    }
-    theta0 = None
-    if norms["obs_constant"] > 1e-12 * max(sv_pert[0], 1.0):
-        norms_full = dict(norms, alpha0=norms["obs_constant"] / 2.0)
-        theta0 = theta0_bound(norms_full)
-        norms = norms_full
-
-    return CompositionReport(
-        theorem="cross",
-        closed_loop=closed,
-        lhs=lhs,
-        rhs=rhs,
-        deviation_time=deviation_time,
-        deviation_transfer=dev_transfer,
-        lambda_samples=lambdas,
-        grid=g,
-        theta0=theta0,
-        norms=norms,
+    return _compose(
+        "cross", main, (pert,), g,
+        close=lambda a, s: Realization(a, main.B @ s, pert.D @ s @ main.C + pert.C, pert.D @ s),
+        stack=_channels(main, c=pert),
+        left=lambda E, M, C, D, N: _observation_rows(C, E, N),
+        blocks=lambda qm, qp: (qm.output_map, qp.io_map, qp.output_map),
+        # the state fed in: C^I (lam - A^I)^-1 against the resolvent side
+        probe=lambda cl: (_channels(main, b=_feed(main), c=pert), _feed(cl)),
     )
 
 
@@ -480,50 +455,12 @@ def perturb_double(
     _require_shared("B", main.B, pert_c.B)
     _require_shared("DB", pert_b.B, pert_bc.B)
     _require_shared("DC", pert_c.C, pert_bc.C)
-    qm_main = quadruple_maps(main, g)
-    _require_identity_admissible(main, qm_main.io_map, g.n_steps)
-
-    m, n, N = main.m, main.n, g.n_steps
-    db, dc = pert_b.B, pert_c.C
-    s_out = _inv(np.eye(m) - main.D, "I - D")
-    a_closed = main.A + main.B @ s_out @ main.C
-    closed = Realization(a_closed, db, dc, np.zeros((dc.shape[0], db.shape[1])))
-
-    stacked = Realization(
-        main.A,
-        np.hstack([main.B, db]),
-        np.vstack([main.C, dc]),
-        np.block([[main.D, pert_b.D], [pert_c.D, pert_bc.D]]),
-    )
-    step = lifted_quadruple(stacked, g.dt)
-    S = _inv(np.eye(m) - step[3][:m, :m], "I - D_bar")
-    lhs = _io_toeplitz(*_closed_step(step, m, S), N)
-
-    fio_b = quadruple_maps(pert_b, g).io_map
-    fio_c = quadruple_maps(pert_c, g).io_map
-    fio_bc = quadruple_maps(pert_bc, g).io_map
-    gain = np.linalg.solve(np.eye(N * m) - qm_main.io_map, fio_b)
-    rhs = fio_c @ gain + fio_bc
-    deviation_time = _rel_dev(lhs, rhs)
-
-    lambdas = _lambda_samples(main, closed)
-    dev_transfer = 0.0
-    eye_n = np.eye(n)
-    for lam in lambdas:
-        r_b = np.linalg.solve(lam * eye_n - main.A, main.B)
-        r_d = np.linalg.solve(lam * eye_n - main.A, db)
-        g_main = main.C @ r_b + main.D
-        rhs_lam = (dc @ r_b) @ np.linalg.solve(np.eye(m) - g_main, main.C @ r_d) + dc @ r_d
-        lhs_lam = dc @ np.linalg.solve(lam * eye_n - a_closed, db)
-        dev_transfer = max(dev_transfer, _rel_dev(lhs_lam, rhs_lam))
-
-    return CompositionReport(
-        theorem="bcross",
-        closed_loop=closed,
-        lhs=lhs,
-        rhs=rhs,
-        deviation_time=deviation_time,
-        deviation_transfer=dev_transfer,
-        lambda_samples=lambdas,
-        grid=g,
+    stack = _channels(main, b=pert_b, c=pert_c, bc=pert_bc)
+    return _compose(
+        "bcross", main, (pert_b, pert_c, pert_bc), g,
+        close=lambda a, s: Realization(a, pert_b.B, pert_c.C, np.zeros((pert_c.p, pert_b.m))),
+        stack=stack,
+        left=_io_toeplitz,
+        blocks=lambda qm, qb, qc, qbc: (qb.io_map, qc.io_map, qbc.io_map),
+        probe=lambda cl: (stack, cl),
     )

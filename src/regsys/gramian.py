@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ControllabilityError, GridError, ShapeError
-from .feedback import _channels, _closed_step, k0_bound, theta0_bound
+from .feedback import _channels, _closed_step, _margin_norms, k0_bound, theta0_bound
 from .grids import Signal, TimeGrid
 from .node import (
     Realization,
     _control_columns,
     _observation_rows,
-    _spectral_norm,
     lifted_quadruple,
     quadruple_maps,
 )
@@ -239,47 +238,20 @@ def robustness_sweep(
     qm_main = quadruple_maps(main, sub)
     qm_pert = quadruple_maps(pert, sub)
     sqdt = np.sqrt(sub.dt)
-
-    io_norm = _spectral_norm(qm_main.io_map)
-    pert_io_norm = _spectral_norm(qm_pert.io_map)
-    d_norm = _spectral_norm(main.D)
-
+    norms, level, top = _margin_norms(mode, qm_main, qm_pert, main.D, sub.dt)
+    if level <= _EXACTNESS_RTOL * max(top, 1.0):
+        side = "input map is not onto" if mode == "across" else "output map is not bounded below"
+        raise ControllabilityError(f"base {side} at t0")
     if mode == "across":
-        base = qm_pert.input_map / sqdt
-        sv = np.linalg.svd(base, compute_uv=False)
-        radius = float(sv[-1]) if base.shape[1] >= base.shape[0] else 0.0
-        if radius <= _EXACTNESS_RTOL * max(sv[0], 1.0):
-            raise ControllabilityError("base input map is not onto at t0")
-        norms = {
-            "d_norm": d_norm,
-            "io_norm": io_norm,
-            "control_norm": _spectral_norm(qm_main.input_map / sqdt),
-            "pert_io_norm": pert_io_norm,
-            "radius": radius,
-        }
         bound_gain = k0_bound(norms)
-        level = radius
-        spread = norms["control_norm"] * pert_io_norm
-        threshold = _EXACTNESS_RTOL * sv[0]
+        spread = norms["control_norm"] * norms["pert_io_norm"]
+        threshold = _EXACTNESS_RTOL * top
         alpha = None
     else:
-        base = qm_pert.output_map * sqdt
-        sv = np.linalg.svd(base, compute_uv=False)
-        constant = float(sv[-1]) if base.shape[0] >= base.shape[1] else 0.0
-        if constant <= _EXACTNESS_RTOL * max(sv[0], 1.0):
-            raise ControllabilityError("base output map is not bounded below at t0")
-        alpha = constant / 2.0 if alpha0 is None else float(alpha0)
-        norms = {
-            "d_norm": d_norm,
-            "io_norm": io_norm,
-            "pert_io_norm": pert_io_norm,
-            "obs_norm": _spectral_norm(qm_main.output_map * sqdt),
-            "obs_constant": constant,
-            "alpha0": alpha,
-        }
+        alpha = level / 2.0 if alpha0 is None else float(alpha0)
+        norms["alpha0"] = alpha
         bound_gain = theta0_bound(norms)
-        level = constant
-        spread = pert_io_norm * norms["obs_norm"]
+        spread = norms["pert_io_norm"] * norms["obs_norm"]
         threshold = alpha
 
     if k_grid is None:
@@ -287,7 +259,8 @@ def robustness_sweep(
     k_grid = np.asarray(k_grid, dtype=float)
 
     m = main.m
-    step = lifted_quadruple(_channels(main, pert, mode), sub.dt)
+    stack = _channels(main, b=pert) if mode == "across" else _channels(main, c=pert)
+    step = lifted_quadruple(stack, sub.dt)
     loop = np.eye(m) - k_grid[:, None, None] * step[3][:m, :m]
     sv_loop = np.linalg.svd(loop, compute_uv=False)
     live = sv_loop[:, -1] > 1e-12 * sv_loop[:, 0]
@@ -301,6 +274,7 @@ def robustness_sweep(
     sig[live] = np.linalg.svd(op, compute_uv=False)[:, -1]
 
     bound = np.zeros_like(k_grid)
+    io_norm = norms["io_norm"]
     inside = k_grid * io_norm < 1.0
     bound[inside] = level - k_grid[inside] * spread / (1.0 - k_grid[inside] * io_norm)
     bound = np.maximum(bound, 0.0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsys.beam
+import regsys.cli
 from regsys import (
     BeamModel,
     BeamState,
@@ -447,6 +448,18 @@ class TestModalEngine:
             verify_admissibility_bound(N=32, T=1.0, trials=2, n_steps=200)
         with pytest.raises(RegsysError, match="energy drift"):
             verify_observability(N=32, T=3.0, trials=2, n_steps=600)
+
+        # the beam-bounds drift loop, with the bound drivers stubbed out and
+        # simulate (the refinement levels that follow) made unreachable
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the drift loop let a drifting basis through")
+
+        stub = lambda *args, **kwargs: {"worst_ratio": 0.0}  # noqa: E731
+        monkeypatch.setattr(regsys.cli, "verify_admissibility_bound", stub)
+        monkeypatch.setattr(regsys.cli, "verify_wellposedness_bound", stub)
+        monkeypatch.setattr(regsys.cli, "simulate", unreachable)
+        with pytest.raises(RegsysError, match="energy drift"):
+            regsys.cli.run({"kind": "beam-bounds", "N": 32, "trials": 2})
 
     def test_basis_is_cached_and_read_only(self):
         model = beam_model(20)

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regsys.feedback
 from regsys import (
     AdmissibilityError,
     ControllabilityError,
@@ -26,6 +30,16 @@ from regsys import (
 )
 
 GRID = TimeGrid(1.5, 32)
+
+
+def _loop_inverse(main):
+    return np.linalg.solve(np.eye(main.m) - main.D, np.eye(main.m))
+
+
+def _assert_closed_loop(closed, A, B, C, D):
+    for name, expect in zip("ABCD", (A, B, C, D)):
+        np.testing.assert_allclose(getattr(closed, name), expect, rtol=1e-12, atol=0.0,
+                                   err_msg=name)
 
 
 class TestGainBounds:
@@ -199,12 +213,13 @@ class TestPerturbAcross:
             assert rep.k0 == pytest.approx(k0_bound(rep.norms))
 
     def test_closed_loop_matrices(self):
+        # (A + B (I-D)^-1 C, B (I-D)^-1 P + DB, (I-D)^-1 C, (I-D)^-1 P)
         rng = np.random.default_rng(11)
         main, pert = across_instance(rng, GRID)
         rep = perturb_across(main, pert, GRID)
-        s = np.linalg.solve(np.eye(main.m) - main.D, np.eye(main.m))
-        np.testing.assert_allclose(rep.closed_loop.A, main.A + main.B @ s @ main.C, rtol=1e-12)
-        np.testing.assert_allclose(rep.closed_loop.B, main.B @ s @ pert.D + pert.B, rtol=1e-12)
+        s = _loop_inverse(main)
+        _assert_closed_loop(rep.closed_loop, main.A + main.B @ s @ main.C,
+                            main.B @ s @ pert.D + pert.B, s @ main.C, s @ pert.D)
 
     def test_json_dict_carries_gain(self):
         rng = np.random.default_rng(12)
@@ -242,11 +257,13 @@ class TestPerturbCross:
             assert rep.theta0 == pytest.approx(theta0_bound(rep.norms))
 
     def test_closed_loop_matrices(self):
+        # (A^I, B (I-D)^-1, P (I-D)^-1 C + DC, P (I-D)^-1)
         rng = np.random.default_rng(21)
         main, pert = cross_instance(rng, GRID)
         rep = perturb_cross(main, pert, GRID)
-        s = np.linalg.solve(np.eye(main.m) - main.D, np.eye(main.m))
-        np.testing.assert_allclose(rep.closed_loop.C, pert.D @ s @ main.C + pert.C, rtol=1e-12)
+        s = _loop_inverse(main)
+        _assert_closed_loop(rep.closed_loop, main.A + main.B @ s @ main.C, main.B @ s,
+                            pert.D @ s @ main.C + pert.C, pert.D @ s)
 
     def test_requires_shared_control_matrix(self):
         rng = np.random.default_rng(22)
@@ -266,6 +283,15 @@ class TestPerturbDouble:
             assert rep.deviation_time <= 1e-9
             assert rep.deviation_transfer <= 1e-10
 
+    def test_closed_loop_matrices(self):
+        # (A^I, DB, DC, 0)
+        rng = np.random.default_rng(33)
+        main, pb, pc, pbc = double_instance(rng, GRID)
+        rep = perturb_double(main, pb, pc, pbc, GRID)
+        s = _loop_inverse(main)
+        _assert_closed_loop(rep.closed_loop, main.A + main.B @ s @ main.C, pb.B, pc.C,
+                            np.zeros((pc.p, pb.m)))
+
     def test_closed_loop_has_zero_feedthrough(self):
         rng = np.random.default_rng(31)
         main, pb, pc, pbc = double_instance(rng, GRID)
@@ -278,3 +304,73 @@ class TestPerturbDouble:
         bad = Realization(pb.A, pb.B, pb.C, np.full((pb.p, pb.m), 0.1))
         with pytest.raises(ShapeError):
             perturb_double(main, bad, pc, pbc, GRID)
+
+
+_THEOREMS = {
+    "across": (across_instance, perturb_across),
+    "cross": (cross_instance, perturb_cross),
+    "double": (double_instance, perturb_double),
+}
+
+
+class TestCompositionSkeleton:
+    """The three theorems share one skeleton: the main system's grid maps
+    are built once, the stacked channels are discretized once, and the
+    transfer side is two `node.transfer` calls per sampled frequency."""
+
+    @pytest.mark.parametrize("theorem", sorted(_THEOREMS))
+    def test_one_main_map_one_step_eight_transfers(self, monkeypatch, theorem):
+        instance, compose = _THEOREMS[theorem]
+        systems = instance(np.random.default_rng(40), GRID)
+        main = systems[0]
+        calls = {"quadruple_maps": [], "lifted_quadruple": [], "transfer": []}
+
+        def counting(name):
+            real = getattr(regsys.feedback, name)
+
+            def wrapped(r, *args, **kwargs):
+                calls[name].append(r)
+                return real(r, *args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(regsys.feedback, name, counting(name))
+        rep = compose(*systems, GRID)
+        assert sum(r is main for r in calls["quadruple_maps"]) == 1
+        assert len(calls["quadruple_maps"]) == len(systems)
+        assert len(calls["lifted_quadruple"]) == 1
+        assert len(calls["transfer"]) == 2 * len(rep.lambda_samples) == 8
+
+    def test_no_hand_rolled_resolvent_solve(self):
+        # every transfer value in feedback.py comes from node.transfer and
+        # its singularity gate: no solve of a matrix built from lam
+        tree = ast.parse(Path(regsys.feedback.__file__).read_text())
+        offenders = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            if ast.unparse(node.func).split(".")[-1] not in ("solve", "lu_factor", "inv"):
+                continue
+            if any(isinstance(sub, ast.Name) and sub.id == "lam" for sub in ast.walk(node.args[0])):
+                offenders.append(f"{node.lineno}: {ast.unparse(node)}")
+        assert offenders == []
+
+    @pytest.mark.parametrize("theorem", sorted(_THEOREMS))
+    def test_transfer_side_catches_a_wrong_closed_loop(self, monkeypatch, theorem):
+        # the closed probe is built from the published closed loop, so an A
+        # off by 1e-6 relative shows far above rounding
+        instance, compose = _THEOREMS[theorem]
+        systems = instance(np.random.default_rng(41), GRID)
+        good = compose(*systems, GRID).deviation_transfer
+        real = regsys.feedback._compose
+
+        def skewed(theorem, main, perts, g, close, **pieces):
+            def off(a, s):
+                cl = close(a, s)
+                return Realization(cl.A * (1.0 + 1e-6), cl.B, cl.C, cl.D)
+
+            return real(theorem, main, perts, g, off, **pieces)
+
+        monkeypatch.setattr(regsys.feedback, "_compose", skewed)
+        assert good <= 1e-10 < 1e-8 < compose(*systems, GRID).deviation_transfer

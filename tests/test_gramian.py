@@ -20,6 +20,7 @@ from regsys import (
     observability_constant,
     observation_operator,
     perturb_across,
+    perturb_cross,
     quadruple_maps,
     random_realization,
     robustness_sweep,
@@ -198,11 +199,16 @@ class TestRobustnessSweep:
             assert rep.margin >= 1.0
 
     def test_across_bound_matches_composition_report(self):
-        rng = np.random.default_rng(7)
-        main, pert = across_instance(rng, GRID)
-        rep = robustness_sweep(main, pert, GRID, GRID.t_end, "across")
-        comp = perturb_across(main, pert, GRID)
-        assert rep.bound_gain == pytest.approx(comp.k0, rel=1e-12)
+        # the sweep and the composition reports read the same margin norms,
+        # so the sweep's bound gain is the report's k0 or theta0 exactly
+        cases = (("across", across_instance, perturb_across, "k0"),
+                 ("cross", cross_instance, perturb_cross, "theta0"))
+        for mode, instance, compose, key in cases:
+            main, pert = instance(np.random.default_rng(7), GRID)
+            rep = robustness_sweep(main, pert, GRID, GRID.t_end, mode)
+            comp = compose(main, pert, GRID)
+            assert rep.bound_gain == getattr(comp, key), mode
+            assert rep.norms == comp.norms, mode
 
     def test_cross_verdicts_below_bound(self):
         rng = np.random.default_rng(8)
