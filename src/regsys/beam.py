@@ -249,26 +249,25 @@ def _slope_rows(model: BeamModel, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _multiplier(model: BeamModel, state: BeamState, weight: np.ndarray, name: str) -> float:
+    """Trapezoid quadrature of weight(x) w_t w_x, refused above F."""
+    vals = weight * _with_clamped_node(state.v) * _slope_rows(model, state.w[None, :])[0]
+    value = float(_trapezoid_rows(vals[None, :], model.dx)[0])
+    f = energy(model, state)
+    if abs(value) > f + 1e-8 * (1.0 + f):
+        raise RegsysError(f"multiplier bound violated: |{name}|={abs(value):.3e} > F={f:.3e}")
+    return value
+
+
 def multiplier_rho(model: BeamModel, state: BeamState) -> float:
     """Trapezoid quadrature of x(x-1) w_t w_x."""
     x = model.nodes()
-    vals = x * (x - 1.0) * _with_clamped_node(state.v) * _slope_rows(model, state.w[None, :])[0]
-    rho = float(_trapezoid_rows(vals[None, :], model.dx)[0])
-    f = energy(model, state)
-    if abs(rho) > f + 1e-8 * (1.0 + f):
-        raise RegsysError(f"multiplier bound violated: |rho|={abs(rho):.3e} > F={f:.3e}")
-    return rho
+    return _multiplier(model, state, x * (x - 1.0), "rho")
 
 
 def multiplier_rho1(model: BeamModel, state: BeamState) -> float:
     """Trapezoid quadrature of (x-1) w_t w_x."""
-    x = model.nodes()
-    vals = (x - 1.0) * _with_clamped_node(state.v) * _slope_rows(model, state.w[None, :])[0]
-    rho1 = float(_trapezoid_rows(vals[None, :], model.dx)[0])
-    f = energy(model, state)
-    if abs(rho1) > f + 1e-8 * (1.0 + f):
-        raise RegsysError(f"multiplier bound violated: |rho1|={abs(rho1):.3e} > F={f:.3e}")
-    return rho1
+    return _multiplier(model, state, model.nodes() - 1.0, "rho1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,11 +507,15 @@ def rho1_derivative_check(traj: BeamTrajectory) -> float:
     return float(np.max(np.abs(lhs - rhs[1:-1])))
 
 
-def _sech(t: float) -> float:
-    if t > 20.0:
-        e = math.exp(-t)
-        return 2.0 * e / (1.0 + e * e)
-    return 1.0 / math.cosh(t)
+def _transfer_parts(s: float) -> tuple[float, float, float, float]:
+    """(t, sech t, tanh t, 1 + (cos t sech t)^2) at t = sqrt(s/2), s > 0,
+    with sech evaluated so that large t cannot overflow."""
+    if s <= 0:
+        raise ValueError(f"s must be positive, got {s}")
+    t = math.sqrt(s / 2.0)
+    e = math.exp(-t)
+    sech = 2.0 * e / (1.0 + e * e) if t > 20.0 else 1.0 / math.cosh(t)
+    return t, sech, math.tanh(t), 1.0 + (math.cos(t) * sech) ** 2
 
 
 def beam_transfer_H(s: float) -> float:
@@ -523,13 +526,8 @@ def beam_transfer_H(s: float) -> float:
     evaluated here with sech/tanh factoring so large t cannot overflow.
     H(0+) = -1/2 (static tip slope of a unit shear) and s |H(s)| <= 2.
     """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    t = math.sqrt(s / 2.0)
-    sech = _sech(t)
-    th = math.tanh(t)
+    t, _, th, den = _transfer_parts(s)
     num = math.sin(t) ** 2 + (th * math.cos(t)) ** 2
-    den = 1.0 + (math.cos(t) * sech) ** 2
     return -num / (2.0 * t * t * den)
 
 
@@ -537,24 +535,14 @@ def beam_transfer_H1(s: float) -> float:
     """Shear-to-root-curvature transfer of the clamped-free beam:
         H1(s) = -(cosh sin + sinh cos) / (t (cosh^2 + cos^2)),
     in sech/tanh form; H1(0+) = -1 and |H1| t cosh t <= 2."""
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    t = math.sqrt(s / 2.0)
-    sech = _sech(t)
-    th = math.tanh(t)
+    t, sech, th, den = _transfer_parts(s)
     num = sech * (math.sin(t) + th * math.cos(t))
-    den = 1.0 + (math.cos(t) * sech) ** 2
     return -num / (t * den)
 
 
 def transfer_bound_products(s: float) -> tuple[float, float]:
     """(|H(s)| * s, |H1(s)| * t * cosh t), both computed overflow-free."""
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    t = math.sqrt(s / 2.0)
-    sech = _sech(t)
-    th = math.tanh(t)
-    den = 1.0 + (math.cos(t) * sech) ** 2
+    t, _, th, den = _transfer_parts(s)
     h_scaled = (math.sin(t) ** 2 + (th * math.cos(t)) ** 2) / den
     h1_scaled = abs(math.sin(t) + th * math.cos(t)) / den
     return h_scaled, h1_scaled

@@ -37,9 +37,10 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 
 from .errors import AdmissibilityError, ShapeError
-from .node import Realization, _as_matrix, _decode_matrix, _encode_matrix, _spectral_norm, transfer
+from .node import Realization, _as_matrix, _checked_solve, _decode_matrix, _encode_matrix, transfer
 
 _RANK_RTOL = 1e-10
+_LOOP_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,12 +140,9 @@ def _build_chart(bt: BoundaryTriple) -> RestrictedGenerator:
     n = bt.n_interior
     traces = bt.traces()
     t_b = traces[:, n:]
-    sv = np.linalg.svd(t_b, compute_uv=False)
-    if sv[-1] <= _RANK_RTOL * _spectral_norm(traces):
-        raise AdmissibilityError("interior coordinates do not chart the trace kernel "
-                                 f"(boundary block of the traces has sigma_min {sv[-1]:.3e})")
     # one solve gives T_b^-1 T_i and T_b^-1
-    x = np.linalg.solve(t_b, np.hstack([traces[:, :n], np.eye(t_b.shape[0])]))
+    x = _checked_solve(t_b, np.hstack([traces[:, :n], np.eye(t_b.shape[0])]), _RANK_RTOL,
+                       AdmissibilityError, "the boundary block T_b of the traces")
     x_i, x_b = x[:, :n], x[:, n:]
     rows = bt.L[:n]
     arrays = {
@@ -189,16 +187,6 @@ def _channel_block(bt: BoundaryTriple, channel: str) -> slice:
     raise ValueError(f"channel must be 'primary' or 'secondary', got {channel!r}")
 
 
-def _lift_realization(bt: BoundaryTriple, channel: str, obs: np.ndarray | None = None) -> Realization:
-    """(A, B, obs basis, obs p) of one channel: its transfer function at lam
-    is obs D_lam, and its D is the feedthrough obs p (obs = I when None)."""
-    chart, cols = bt._chart, _channel_block(bt, channel)
-    c, d = chart.basis, chart.lift[:, cols]
-    if obs is not None:
-        c, d = obs @ c, obs @ d
-    return Realization(chart.a, chart.control[:, cols], c, d)
-
-
 def dirichlet_map(bt: BoundaryTriple, lam: float, channel: str = "primary") -> DirichletMap:
     """Solution z of [(lam - L) interior rows; traces] z = [0; indicator]
     for the selected channel, one column per channel input.
@@ -207,8 +195,9 @@ def dirichlet_map(bt: BoundaryTriple, lam: float, channel: str = "primary") -> D
     n x n LU per shift. Raises SpectrumError when lam is numerically an
     eigenvalue of the restriction (the rcond gate of `transfer`).
     """
-    return DirichletMap(lam=float(lam), matrix=transfer(_lift_realization(bt, channel), lam),
-                        channel=channel)
+    chart, cols = bt._chart, _channel_block(bt, channel)
+    lift = Realization(chart.a, chart.control[:, cols], chart.basis, chart.lift[:, cols])
+    return DirichletMap(lam=float(lam), matrix=transfer(lift, lam), channel=channel)
 
 
 def control_operator_from_triple(bt: BoundaryTriple, lam: float,
@@ -283,13 +272,30 @@ def feedthrough_estimate(
     documented on FeedthroughEstimate. A non-convergent tail withholds the
     value.
     """
-    obs = _observation_block(bt, observation)
+    return _feedthrough_estimates(bt, lambda_sweep, [(channel, observation)])[channel, observation]
+
+
+def _feedthrough_estimates(bt: BoundaryTriple, lambda_sweep, pairs) -> dict:
+    """{(channel, observation): FeedthroughEstimate} for every pair, as
+    `feedthrough_estimate` gives it, from one `transfer` call per shift
+    over all channels and the stacked observations of the pairs."""
+    obs = {name: _observation_block(bt, name) for _, name in pairs}
     sweep = default_shift_sweep(bt) if lambda_sweep is None else np.asarray(lambda_sweep, dtype=float)
     if sweep.size < 2 or np.any(np.diff(sweep) <= 0):
         raise ValueError("shift sweep must be increasing with at least two nodes")
-
-    r = _lift_realization(bt, channel, obs)
+    cols = {ch: _channel_block(bt, ch) for ch, _ in pairs}
+    ends = np.cumsum([block.shape[0] for block in obs.values()])
+    rows = {name: slice(end - block.shape[0], end) for (name, block), end in zip(obs.items(), ends)}
+    # (A, B, obs basis, obs p) over all channels: its transfer is obs D_lam
+    stacked, chart = np.vstack(list(obs.values())), bt._chart
+    r = Realization(chart.a, chart.control, stacked @ chart.basis, stacked @ chart.lift)
     samples = [transfer(r, lam) for lam in sweep]
+    return {(ch, name): _certify(sweep, [s[rows[name], cols[ch]] for s in samples])
+            for ch, name in pairs}
+
+
+def _certify(sweep: np.ndarray, samples: list) -> FeedthroughEstimate:
+    """The Neville extrapolation and certification of one sample trace."""
     # Neville table in 1/lam on geometric nodes (ratio factors 2^k - 1).
     # Deeper levels sharpen resolvent-type 1/lam tails but are ruined by
     # exponentially small tails, so take the deepest certified level.
@@ -335,14 +341,6 @@ def _require_feedthrough(est: FeedthroughEstimate, what: str) -> np.ndarray:
         raise AdmissibilityError(f"{what} feedthrough sweep did not converge "
                                  f"(final residual {est.residuals[-1]:.3e})")
     return est.value
-
-
-def _feedback_loop_inverse(k_bar: np.ndarray) -> np.ndarray:
-    loop = np.eye(k_bar.shape[0]) - k_bar
-    sv = np.linalg.svd(loop, compute_uv=False)
-    if sv[-1] <= 1e-8 * max(sv[0], 1.0):
-        raise AdmissibilityError("I minus the feedback feedthrough is singular")
-    return np.linalg.solve(loop, np.eye(loop.shape[0]))
 
 
 def _rel(formula: np.ndarray, direct: np.ndarray) -> float:
@@ -410,11 +408,12 @@ def feed_in_observe(bt: BoundaryTriple, lambda_sweep: np.ndarray | None = None) 
     if bt.W.shape[0] != bt.G.shape[0]:
         raise ShapeError("W must have as many rows as the primary trace to close the loop")
     rg = restrict_generator(bt)
-    est_q = feedthrough_estimate(bt, lambda_sweep, "primary", "W")
-    est_k = feedthrough_estimate(bt, lambda_sweep, "primary", "K")
-    q_bar = _require_feedthrough(est_q, "feedback observation")
-    k_bar = _require_feedthrough(est_k, "retained observation")
-    inv_loop = _feedback_loop_inverse(q_bar)
+    est = _feedthrough_estimates(bt, lambda_sweep, [("primary", "W"), ("primary", "K")])
+    q_bar = _require_feedthrough(est["primary", "W"], "feedback observation")
+    k_bar = _require_feedthrough(est["primary", "K"], "retained observation")
+    eye = np.eye(q_bar.shape[0])
+    inv_loop = _checked_solve(eye - q_bar, eye, _LOOP_RTOL, AdmissibilityError,
+                              "I minus the feedback feedthrough")
     c_formula = bt.K @ rg.basis + k_bar @ inv_loop @ (bt.W @ rg.basis)
 
     rg_cl = restrict_generator(BoundaryTriple(L=bt.L, G=bt.G - bt.W, G2=bt.G2, K=bt.K))
@@ -426,7 +425,8 @@ def feed_in_observe(bt: BoundaryTriple, lambda_sweep: np.ndarray | None = None) 
         deviation_c=_rel(c_formula, c_direct),
         deviation_d=None,
         feedthroughs={"q_bar": q_bar, "k_bar": k_bar},
-        residual_traces={"feedback": est_q.residuals, "retained": est_k.residuals},
+        residual_traces={"feedback": est["primary", "W"].residuals,
+                         "retained": est["primary", "K"].residuals},
     )
 
 
@@ -446,13 +446,15 @@ def feed_in_full(bt: BoundaryTriple, lambda_sweep: np.ndarray | None = None) -> 
     rg = restrict_generator(bt)
     b1 = rg.control[:, _channel_block(bt, "primary")]
     b2 = rg.control[:, _channel_block(bt, "secondary")]
-    est = {(ch, obs): feedthrough_estimate(bt, lambda_sweep, ch, obs)
-           for ch in ("primary", "secondary") for obs in ("K", "W")}
+    est = _feedthrough_estimates(bt, lambda_sweep, [(ch, obs) for ch in ("primary", "secondary")
+                                                    for obs in ("K", "W")])
     k1 = _require_feedthrough(est["primary", "K"], "K primary")
     k2 = _require_feedthrough(est["secondary", "K"], "K secondary")
     w1 = _require_feedthrough(est["primary", "W"], "W primary")
     w2 = _require_feedthrough(est["secondary", "W"], "W secondary")
-    inv_loop = _feedback_loop_inverse(k1)
+    eye = np.eye(k1.shape[0])
+    inv_loop = _checked_solve(eye - k1, eye, _LOOP_RTOL, AdmissibilityError,
+                              "I minus the feedback feedthrough")
     b_formula = b1 @ inv_loop @ k2 + b2
     d_formula = w1 @ inv_loop @ k2 + w2
     # retained observation on the closed domain, composed through the loop

@@ -35,11 +35,11 @@ from .beam import (
     wellposedness_constant,
 )
 from .boundary import (
+    _feedthrough_estimates,
     close_boundary_loop,
     control_operator_from_triple,
     default_shift_sweep,
     feed_in_full,
-    feedthrough_estimate,
     restrict_generator,
     wave_triple,
 )
@@ -145,26 +145,25 @@ def _run_quadruple_identities(cfg: dict):
     return assertions, {"worst_by_identity": worst, "trials": cfg["trials"]}, {}
 
 
+# mode -> (instance sampler, composition, attribute of its gain margin)
+_MODES = {
+    "across": (across_instance, perturb_across, "k0"),
+    "cross": (cross_instance, perturb_cross, "theta0"),
+    "double": (double_instance, perturb_double, None),
+}
+
+
 def _run_compose(cfg: dict, mode: str):
     rng = np.random.default_rng(cfg["seed"])
     g = _grid(cfg)
+    instance, compose, margin = _MODES[mode]
     worst_time = 0.0
     worst_transfer = 0.0
     gains = []
     for _ in range(cfg["trials"]):
-        if mode == "across":
-            main, pert = across_instance(rng, g)
-            rep = perturb_across(main, pert, g)
-            if rep.k0 is not None:
-                gains.append(rep.k0)
-        elif mode == "cross":
-            main, pert = cross_instance(rng, g)
-            rep = perturb_cross(main, pert, g)
-            if rep.theta0 is not None:
-                gains.append(rep.theta0)
-        else:
-            main, pert_b, pert_c, pert_bc = double_instance(rng, g)
-            rep = perturb_double(main, pert_b, pert_c, pert_bc, g)
+        rep = compose(*instance(rng, g), g)
+        if margin is not None and getattr(rep, margin) is not None:
+            gains.append(getattr(rep, margin))
         worst_time = max(worst_time, rep.deviation_time)
         worst_transfer = max(worst_transfer, rep.deviation_transfer)
     assertions = [
@@ -217,12 +216,9 @@ def _run_gain_sweep(cfg: dict, mode: str):
     failures_below_bound = 0
     min_margin = np.inf
     first_report = None
+    instance, _, margin = _MODES[mode]
     for _ in range(cfg["trials"]):
-        if mode == "across":
-            main, pert = across_instance(rng, g)
-        else:
-            main, pert = cross_instance(rng, g)
-        rep = robustness_sweep(main, pert, g, g.t_end, mode)
+        rep = robustness_sweep(*instance(rng, g), g, g.t_end, mode)
         if first_report is None:
             first_report = rep
         below = rep.k_values <= rep.bound_gain * (1.0 + 1e-12)
@@ -234,13 +230,11 @@ def _run_gain_sweep(cfg: dict, mode: str):
             failures_below_bound),
         _ge("breakdown_margin", _tol(cfg, "breakdown_margin", 1.0), min_margin),
     ]
-    payload = {"trials": cfg["trials"],
-               "bound_kind": "k0" if mode == "across" else "theta0"}
-    if first_report is not None:
-        payload["first_instance"] = first_report.to_json_dict()
+    payload = {"trials": cfg["trials"], "bound_kind": margin}
     csvs = {}
     if first_report is not None:
-        csvs[f"{'k0' if mode == 'across' else 'theta0'}-sweep.csv"] = first_report.to_csv
+        payload["first_instance"] = first_report.to_json_dict()
+        csvs[f"{margin}-sweep.csv"] = first_report.to_csv
     return assertions, payload, csvs
 
 
@@ -299,10 +293,8 @@ def _run_boundary_feedin(cfg: dict):
                           _tol(cfg, "beam_trajectory_agreement", 1e-6),
                           _rel_dev(y_triple.values, y_direct.values)))
 
-    sweep = default_shift_sweep(bt, 20)
-    est_vel = feedthrough_estimate(bt, sweep, "primary", "W")
-    est_slope = feedthrough_estimate(bt, sweep, "primary", "K")
-    for label, est in (("velocity", est_vel), ("slope", est_slope)):
+    ests = _feedthrough_estimates(bt, default_shift_sweep(bt, 20), [("primary", "W"), ("primary", "K")])
+    for label, est in (("velocity", ests["primary", "W"]), ("slope", ests["primary", "K"])):
         converged = est.converged and est.value is not None
         final_res = float(est.residuals[-1]) if converged else np.inf
         value = float(np.max(np.abs(est.value))) if converged else np.inf

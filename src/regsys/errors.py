@@ -15,8 +15,9 @@ class SpectrumError(RegsysError):
 
 
 class AdmissibilityError(RegsysError):
-    """A feedback loop cannot be closed: the relevant I - (loop gain) matrix
-    is singular, or a required invertibility check failed."""
+    """A feedback loop cannot be closed: its loop matrix (I - D gamma,
+    I - D_bar, I - G11(lam), I - Kbar) or a boundary block T_b fails the one
+    rcond gate of the solves, or the grid admissibility verdict is negative."""
 
 
 class ControllabilityError(RegsysError):

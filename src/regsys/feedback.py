@@ -30,6 +30,7 @@ from .errors import AdmissibilityError, ControllabilityError, ShapeError
 from .grids import TimeGrid
 from .node import (
     Realization,
+    _checked_solve,
     _control_columns,
     _io_toeplitz,
     _observation_rows,
@@ -109,13 +110,6 @@ def _loop_admissibility(fio: np.ndarray, D: np.ndarray, gamma: np.ndarray, n_ste
     }
 
 
-def _inv(mat: np.ndarray, what: str) -> np.ndarray:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= _ADMISSIBILITY_RTOL * max(sv[0], 1.0):
-        raise AdmissibilityError(f"{what} is singular (sigma_min={sv[-1]:.3e})")
-    return np.linalg.solve(mat, np.eye(mat.shape[0], dtype=mat.dtype))
-
-
 def closed_loop(r: Realization, fb: FeedbackGain) -> Realization:
     """Close u = gamma y + v around (A, B, C, D).
 
@@ -131,8 +125,10 @@ def closed_loop(r: Realization, fb: FeedbackGain) -> Realization:
     gamma = fb.matrix()
     if gamma.shape != (r.m, r.p):
         raise ShapeError(f"gamma must be {r.m} x {r.p}, got {gamma.shape}")
-    s_out = _inv(np.eye(r.p) - r.D @ gamma, "I - D gamma")
-    s_in = _inv(np.eye(r.m) - gamma @ r.D, "I - gamma D")
+    s_out = _checked_solve(np.eye(r.p) - r.D @ gamma, np.eye(r.p), _ADMISSIBILITY_RTOL,
+                           AdmissibilityError, "I - D gamma")
+    s_in = _checked_solve(np.eye(r.m) - gamma @ r.D, np.eye(r.m), _ADMISSIBILITY_RTOL,
+                          AdmissibilityError, "I - gamma D")
     return Realization(
         r.A + r.B @ gamma @ s_out @ r.C,
         r.B @ s_in,
@@ -328,15 +324,18 @@ def _compose(theorem: str, main: Realization, perts: tuple, g: TimeGrid,
     if not check["admissible"]:
         raise AdmissibilityError("identity feedback is not admissible on this grid "
                                  f"(sigma_min={check['sigma_min']:.3e})")
-    s_out = _inv(np.eye(m) - main.D, "I - D")
+    s_out = _checked_solve(np.eye(m) - main.D, np.eye(m), _ADMISSIBILITY_RTOL,
+                           AdmissibilityError, "I - D")
     closed = close(main.A + main.B @ s_out @ main.C, s_out)
 
     # discrete side, left: close the loop step by step
     step = lifted_quadruple(stack, g.dt)
-    S = _inv(np.eye(m) - step[3][:m, :m], "I - D_bar")
+    S = _checked_solve(np.eye(m) - step[3][:m, :m], np.eye(m), _ADMISSIBILITY_RTOL,
+                       AdmissibilityError, "I - D_bar")
     lhs = left(*_closed_step(step, m, S), N)
 
-    # discrete side, right: block composition of the open-loop maps
+    # discrete side, right: block composition of the open-loop maps; I - F
+    # is invertible by the admissibility verdict above
     qm_perts = [quadruple_maps(pert, g) for pert in perts]
     f12, f21, f22 = blocks(qm_main, *qm_perts)
     rhs = f21 @ np.linalg.solve(np.eye(N * m) - qm_main.io_map, f12) + f22
@@ -349,7 +348,9 @@ def _compose(theorem: str, main: Realization, perts: tuple, g: TimeGrid,
     dev_transfer = 0.0
     for lam in lambdas:
         G = transfer(open_probe, lam)
-        lft = G[m:, m:] + G[m:, :m] @ np.linalg.solve(np.eye(m) - G[:m, :m], G[:m, m:])
+        x = _checked_solve(np.eye(m) - G[:m, :m], G[:m, m:], _ADMISSIBILITY_RTOL,
+                           AdmissibilityError, f"I - G11({lam})")
+        lft = G[m:, m:] + G[m:, :m] @ x
         dev_transfer = max(dev_transfer, _rel_dev(transfer(closed_probe, lam), lft))
 
     norms = k0 = theta0 = None

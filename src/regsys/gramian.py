@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ControllabilityError, GridError, ShapeError
+from .errors import AdmissibilityError, ControllabilityError, GridError, ShapeError
 from .feedback import _channels, _closed_step, _margin_norms, k0_bound, theta0_bound
 from .grids import Signal, TimeGrid
 from .node import (
     Realization,
+    _checked_solve,
     _control_columns,
     _observation_rows,
     lifted_quadruple,
@@ -217,8 +218,8 @@ def robustness_sweep(
     All sweep points are closed at once in the lifted one-step world, on
     the one-step matrices of main with pert's channel stacked on (batched
     over the gains), and each takes an SVD. A gain at which I - k D_bar is
-    numerically singular (smallest singular value at most 1e-12 times the
-    largest) gets sigma 0.0.
+    numerically singular (the gate of `_checked_solve` at rtol 1e-12) gets
+    sigma 0.0.
 
     The default grid is 32 logarithmic points in (0, 2*k0] (across) or
     (0, 2*theta0] (cross). The bound column is the guaranteed Weyl lower
@@ -261,11 +262,14 @@ def robustness_sweep(
     m = main.m
     stack = _channels(main, b=pert) if mode == "across" else _channels(main, c=pert)
     step = lifted_quadruple(stack, sub.dt)
-    loop = np.eye(m) - k_grid[:, None, None] * step[3][:m, :m]
-    sv_loop = np.linalg.svd(loop, compute_uv=False)
-    live = sv_loop[:, -1] > 1e-12 * sv_loop[:, 0]
-    S = np.linalg.solve(loop[live], np.eye(m))
-    E_cl, M_cl, C_cl, _ = _closed_step(step, m, S, k_grid[live])
+    live, S = np.ones(k_grid.shape, dtype=bool), []
+    for j, k in enumerate(k_grid):
+        try:
+            S.append(_checked_solve(np.eye(m) - k * step[3][:m, :m], np.eye(m), 1e-12,
+                                    AdmissibilityError, f"I - {k} D_bar"))
+        except AdmissibilityError:
+            live[j] = False
+    E_cl, M_cl, C_cl, _ = _closed_step(step, m, np.reshape(S, (-1, m, m)), k_grid[live])
     if mode == "across":
         op = _control_columns(E_cl, M_cl, n_steps) / sqdt
     else:

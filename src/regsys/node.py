@@ -26,13 +26,17 @@ instead, which is the natural thing to plot and serialize.
 
 Operator 2-norms (the gain-margin norms and the io-map norm that sampled
 systems are scaled by) all come from `_spectral_norm`, the top eigenvalue
-of the smaller Gram matrix. Gates on the smallest singular value use SVDs,
-because the Gram route squares the condition number.
+of the smaller Gram matrix. Every solve that can be refused as singular
+goes through `_checked_solve`: one LU and its 1-norm condition estimate.
+Reported smallest singular values (admissibility, radius of
+surjectivity, observability constant) take SVDs, because the Gram route
+squares the condition number.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +70,7 @@ def _spectral_norm(mat) -> float:
     Loan, Matrix Computations, 4th ed., sec. 8.6). The matrix is first
     scaled by a power of two, which is exact and keeps the Gram matrix clear
     of overflow and underflow. The route squares the condition number, so it
-    is not fit for the smallest singular value; gates on sigma_min take SVDs.
+    is not fit for the smallest singular value.
     """
     a = np.asarray(mat)
     top = float(np.max(np.abs(a))) if a.size else 0.0
@@ -79,6 +83,27 @@ def _spectral_norm(mat) -> float:
     k = gram.shape[0]
     (lam,) = scipy.linalg.eigh(gram, eigvals_only=True, overwrite_a=True, subset_by_index=[k - 1, k - 1])
     return float(np.sqrt(max(lam, 0.0)) * scale)
+
+
+def _checked_solve(mat, rhs, rtol: float, error: type, what: str) -> np.ndarray:
+    """mat^-1 rhs behind the package's one singularity gate.
+
+    One LU, then LAPACK's 1-norm condition estimate rcond (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 15), so that
+    rcond * ||mat||_1 estimates sigma_min to within a factor of n. Raises
+    error when rcond is not finite or rcond * ||mat||_1 <= rtol *
+    max(||mat||_1, 1). An exactly singular matrix is refused the same way,
+    without a LinAlgWarning.
+    """
+    anorm = np.linalg.norm(mat, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(mat)
+    gecon = scipy.linalg.lapack.zgecon if np.iscomplexobj(lu) else scipy.linalg.lapack.dgecon
+    rcond, _ = gecon(lu, anorm)
+    if not np.isfinite(rcond) or rcond * anorm <= rtol * max(anorm, 1.0):
+        raise error(f"{what} is numerically singular (rcond={rcond:.2e}, 1-norm {anorm:.2e})")
+    return scipy.linalg.lu_solve((lu, piv), rhs)
 
 
 def _encode_matrix(mat) -> list:
@@ -328,27 +353,14 @@ def transfer(r: Realization, lam: complex) -> np.ndarray:
     """G(lam) = C (lam I - A)^{-1} B + D.
 
     Raises SpectrumError when lam is an eigenvalue of A up to working
-    precision (reciprocal condition estimate below 1e3 * machine eps).
+    precision: the gate of `_checked_solve` at rtol 1e3 * machine eps.
     """
-    n = r.n
     lam = complex(lam)
-    Alam = lam * np.eye(n) - r.A
+    Alam = lam * np.eye(r.n) - r.A
     if np.isrealobj(r.A) and lam.imag == 0.0:
         Alam = Alam.real
-    anorm = np.linalg.norm(Alam, 1)
-    try:
-        lu, piv = scipy.linalg.lu_factor(Alam)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SpectrumError(f"lambda={lam} is in the spectrum of A") from exc
-    if np.iscomplexobj(Alam):
-        rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm)
-    else:
-        rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm)
-    if not np.isfinite(rcond) or rcond < 1e3 * np.finfo(float).eps:
-        raise SpectrumError(
-            f"lambda={lam} is numerically in the spectrum of A (rcond={rcond:.2e})"
-        )
-    X = scipy.linalg.lu_solve((lu, piv), np.asarray(r.B, dtype=Alam.dtype))
+    X = _checked_solve(Alam, r.B, 1e3 * np.finfo(float).eps, SpectrumError,
+                       f"lambda - A at lambda={lam}")
     return r.C @ X + r.D
 
 
@@ -402,17 +414,16 @@ def lambda_extension(r: Realization, x, lambda_sweep) -> dict:
 
     At finite dimension the limit is plain C x; the returned residual is
     || final value - C x ||, which decays like ||C (lam-A)^{-1} A x||.
+    Each value is lam times the transfer function of (A, x, C, 0), so a
+    shift numerically in the spectrum is refused (SpectrumError) there.
     """
     sweep = _check_sweep(r, lambda_sweep)
     x = np.asarray(x).reshape(-1)
     if x.shape[0] != r.n:
         raise ShapeError(f"state dimension {x.shape[0]} does not match n={r.n}")
     target = r.C @ x
-    n = r.n
-    values = []
-    for lam in sweep:
-        resolvent_x = np.linalg.solve(lam * np.eye(n) - r.A, x)
-        values.append(lam * (r.C @ resolvent_x))
+    fed = Realization(r.A, x[:, None], r.C, np.zeros((r.p, 1)))
+    values = [lam * transfer(fed, lam)[:, 0] for lam in sweep]
     residuals = np.array([np.linalg.norm(v - target) for v in values])
     return {
         "value": values[-1],

@@ -348,11 +348,16 @@ class TestTransfer:
             direct = r.C @ np.linalg.solve(lam * np.eye(4) - r.A, r.B) + r.D
             np.testing.assert_allclose(transfer(r, lam), direct, rtol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     def test_eigenvalue_refused(self):
         r = Realization(np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)))
         with pytest.raises(SpectrumError):
             transfer(r, -1.0)
+
+    def test_complex_control_at_real_shift(self):
+        # real A, complex B, real lam: the solve keeps B's imaginary part
+        r = Realization([[-1.0]], [[1.0 + 2.0j]], [[1.0]], [[0.0]])
+        assert transfer(r, 1.0)[0, 0] == pytest.approx(0.5 + 1.0j, rel=1e-14)
 
     def test_real_input_gives_real_output(self):
         r = scalar_system()
