@@ -22,13 +22,12 @@ feedback mode by the matrix exponential of the closed-loop generator;
 neither has a step-size stability restriction.
 
 The modal basis is computed once per model. `simulate` is the full nodal
-path: displacement and velocity at every node and time, and every
-functional of them. The verification drivers read only the energy and the
-two boundary traces, so they evaluate only those: the rotation tables are
-built once per model and grid, the energy is evaluated at every grid node
-by the same nodal quadrature and refused on drift as in `simulate`, the
-traces w_x(1) and w_xx(0) are modal rows applied to eta(t), and the forced
-trials advance together in one modal recursion.
+path: displacement and velocity at every node and time, every functional
+of them, and the energy refused on drift at every node. The verification
+drivers evaluate no nodal energy: each trial's drift is certified at every
+t from its initial mode amplitudes and the basis defects, the traces
+w_x(1) and w_xx(0) are modal rows applied to the rotation tables, and the
+forced trials advance together in one modal recursion.
 """
 
 from __future__ import annotations
@@ -321,13 +320,15 @@ def _functional_trace(model: BeamModel, g: TimeGrid, w: np.ndarray, v: np.ndarra
 
 def _rotation_tables(omega: np.ndarray, times: np.ndarray) -> tuple:
     """Exact modal rotation from t = 0, modes by times: eta(t) = cos * eta0
-    + sinc * etadot0 and etadot(t) = msin * eta0 + cos * etadot0, with
-    sinc = sin(omega t) / omega (t for a zero mode), msin = -omega sin(omega t)."""
-    phase = np.outer(omega, times)
-    coswt, sinwt = np.cos(phase), np.sin(phase)
-    sinc = np.where(omega[:, None] > 0, sinwt / np.where(omega[:, None] > 0, omega[:, None], 1.0),
-                    times[None, :])
-    return coswt, sinc, -omega[:, None] * sinwt
+    + sinc * etadot0, with sinc = sin(omega t) / omega (t for a zero mode).
+    Built in place, so no more than the two tables are ever held."""
+    coswt = np.outer(omega, times)
+    sinc = np.sin(coswt)
+    np.cos(coswt, out=coswt)
+    positive = omega > 0
+    sinc /= np.where(positive, omega, 1.0)[:, None]
+    sinc[~positive] = times
+    return coswt, sinc
 
 
 def _step_coefficients(omega: np.ndarray, dt: float) -> tuple:
@@ -379,7 +380,8 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
         eta0 = proj @ state0.w
         etadot0 = proj @ state0.v
         if u is None:
-            coswt, sinc, msin = _rotation_tables(omega, times)
+            coswt, sinc = _rotation_tables(omega, times)
+            msin = -omega[:, None] * np.sin(np.outer(omega, times))
             eta = coswt * eta0[:, None] + sinc * etadot0[:, None]
             etadot = msin * eta0[:, None] + coswt * etadot0[:, None]
             w = (V @ eta).T
@@ -418,41 +420,54 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
 
 def _free_trials(model: BeamModel, g: TimeGrid, rng: np.random.Generator,
                  trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F(0), [int w_x(1)^2, int w_xx(0)^2] and the energy drift
-    max |F - F(0)| / F(0) for `trials` random smooth homogeneous states,
-    drawn in turn from rng.
-
-    The driver-side counterpart of `simulate`: the rotation tables are
-    built once, and each trial evaluates only its energy at every grid
-    node, by the same row-form nodal quadrature, refused on drift as in
-    `simulate`, and the two traces as modal rows applied to eta(t)."""
+    """F(0), [int w_x(1)^2, int w_xx(0)^2] and the certified drift of
+    `_certified_drift` for `trials` random smooth homogeneous states, drawn
+    in turn from rng. No nodal energy: the traces are modal rows applied to
+    eta(t), one product per rotation table over all trials."""
     omega, V = model.modal_basis()
+    w0, v0 = np.empty((2, model.n_dof, trials))
+    for i in range(trials):
+        state0 = random_smooth_state(model, rng)
+        w0[:, i], v0[:, i] = state0.w, state0.v
     proj = V.T * model.masses[None, :]
-    coswt, sinc, msin = _rotation_tables(omega, g.nodes)
+    eta0, etadot0 = proj @ w0, proj @ v0
+    f0, drift = _certified_drift(model, eta0, etadot0)
+    coswt, sinc = _rotation_tables(omega, g.nodes)
+    trace_rows = np.stack([model.slope_tip_row @ V, model.curvature_rows[0] @ V])
+    traces = (eta0.T[:, None, :] * trace_rows).reshape(2 * trials, model.n_dof) @ coswt
+    traces += (etadot0.T[:, None, :] * trace_rows).reshape(2 * trials, model.n_dof) @ sinc
+    return f0, _trapezoid_rows(traces**2, g.dt).reshape(trials, 2), drift
+
+
+def _certified_drift(model: BeamModel, eta0: np.ndarray, etadot0: np.ndarray) -> tuple:
+    """F(0) by the row quadrature of the nodal energy and a bound on
+    max_t |F(t) - F(0)| / F(0), refused beyond 1e-8 as in `simulate`, for
+    initial modal coordinates (modes x trials). In row form F = E +
+    (etadot' dM etadot + xi' dS xi) / 2 with xi = Omega eta, E the modal
+    energy and dM = K'K - I, dS = Omega^-1 dx P'P Omega^-1 - I the basis
+    defects (K, P the kinetic and potential rows). The exact rotation
+    conserves E and keeps |xi_k(t)|, |etadot_k(t)| <= r_k =
+    |(omega_k eta0_k, etadot0_k)|, so |F(t) - F(0)| <= r'(|dM| + |dS|)r at
+    every t. 2 n_dof eps I added to that matrix allows for rounding: of E,
+    and of a nodal F (n_dof-term sums, cancelling curvature rows), which
+    puts up to ~3 n_dof eps (sampled) in the drift that `simulate` shows."""
+    omega, V = model.modal_basis()
     weights = np.ones(model.n_dof)
     weights[0] = 0.5
     kin_rows = np.sqrt(model.masses)[:, None] * V
     pot_rows = np.sqrt(weights)[:, None] * (model.curvature_rows @ V)
-    trace_rows = np.stack([model.slope_tip_row @ V, model.curvature_rows[0] @ V])
-    f0, drift = np.empty(trials), np.empty(trials)
-    integrals = np.empty((trials, 2))
-    # modes x nodes buffers shared by every trial, filled with the same
-    # operations in the same order as fresh arrays would be (bit-identical)
-    eta, etadot, kin, pot, tmp = (np.empty_like(coswt) for _ in range(5))
-    for i in range(trials):
-        state0 = random_smooth_state(model, rng)
-        eta0, etadot0 = proj @ state0.w, proj @ state0.v
-        np.multiply(coswt, eta0[:, None], out=eta)
-        eta += np.multiply(sinc, etadot0[:, None], out=tmp)
-        np.multiply(msin, eta0[:, None], out=etadot)
-        etadot += np.multiply(coswt, etadot0[:, None], out=tmp)
-        np.matmul(kin_rows, etadot, out=kin)
-        np.matmul(pot_rows, eta, out=pot)
-        F = (np.einsum("it,it->t", kin, kin) + model.dx * np.einsum("it,it->t", pot, pot)) / 2.0
-        drift[i] = _require_conserved(F)
-        f0[i] = F[0]
-        integrals[i] = _trapezoid_rows((trace_rows @ eta) ** 2, g.dt)
-    return f0, integrals, drift
+    eye = np.eye(model.n_dof)
+    defect = (np.abs(kin_rows.T @ kin_rows - eye)
+              + np.abs(model.dx * (pot_rows.T @ pot_rows) / np.outer(omega, omega) - eye)
+              + 2.0 * model.n_dof * np.finfo(float).eps * eye)
+    f0 = (np.sum((kin_rows @ etadot0) ** 2, axis=0)
+          + model.dx * np.sum((pot_rows @ eta0) ** 2, axis=0)) / 2.0
+    r = np.hypot(omega[:, None] * eta0, etadot0)
+    bound = np.sum(r * (defect @ r), axis=0)
+    drift = np.divide(bound, f0, out=np.zeros_like(f0), where=f0 > 0)
+    if np.max(drift, initial=0.0) > 1e-8:
+        raise RegsysError(f"energy drift {np.max(drift):.3e} exceeds 1e-8")
+    return f0, drift
 
 
 def _forced_slope_integrals(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.ndarray:

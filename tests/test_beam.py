@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -460,6 +461,46 @@ class TestModalEngine:
         monkeypatch.setattr(regsys.cli, "simulate", unreachable)
         with pytest.raises(RegsysError, match="energy drift"):
             regsys.cli.run({"kind": "beam-bounds", "N": 32, "trials": 2})
+
+    @given(N=st.integers(8, 64), T=st.floats(0.5, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_drift_certificate_bounds_simulated_drift(self, N, T, seed):
+        # the drift the drivers certify from the initial mode amplitudes is
+        # at least the drift of the nodal energy that `simulate` evaluates
+        # at every node of the same grid, from the same state
+        model = beam_model(N)
+        g = TimeGrid(T, int(round(150 * T)))
+        _, _, drift = regsys.beam._free_trials(model, g, np.random.default_rng(seed), 1)
+        state0 = random_smooth_state(model, np.random.default_rng(seed))
+        F = simulate(model, g, state0=state0).trace.F
+        assert drift[0] >= np.max(np.abs(F - F[0])) / F[0]
+
+    def test_no_drift_refusal_at_large_n(self):
+        # a per-basis defect bound reaches 1.2e-8 at N=800; the per-trial
+        # certificate must stay far below the 1e-8 gate
+        assert verify_observability(N=1000, T=4.0, trials=2)["passed"] is True
+        for N in (800, 1000):
+            _, _, drift = regsys.beam._free_trials(beam_model(N), TimeGrid(4.0, 4000),
+                                                   np.random.default_rng(0), 2)
+            assert np.max(drift) <= 1e-10, N
+
+    def test_zero_trials(self):
+        assert verify_admissibility_bound(N=16, T=0.5, trials=0, n_steps=50)["worst_ratio"] == 0.0
+        assert verify_observability(N=16, T=2.5, trials=0, n_steps=50)["worst_ratio"] == math.inf
+
+    def test_free_trials_holds_two_rotation_tables(self):
+        g = TimeGrid(4.0, 4000)
+        omega, _ = beam_model(200).modal_basis()
+        table_bytes = regsys.beam._rotation_tables(omega, g.nodes)[0].nbytes
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            regsys.beam._free_trials(beam_model(200), TimeGrid(4.0, 4000),
+                                     np.random.default_rng(0), 5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * table_bytes
 
     def test_basis_is_cached_and_read_only(self):
         model = beam_model(20)
