@@ -470,10 +470,12 @@ def _certified_drift(model: BeamModel, eta0: np.ndarray, etadot0: np.ndarray) ->
     return f0, drift
 
 
-def _forced_slope_integrals(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.ndarray:
-    """int w_x(1)^2 from rest under each row of held shear samples
-    (trials x grid nodes), all trials advanced together by the modal step
-    of `simulate`, reading only the tip slope."""
+def _forced_tip_slopes(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.ndarray:
+    """w_x(1, t_k) from rest under each row of held shear samples (trials x
+    grid nodes), all trials advanced together by the modal step of
+    `simulate`, reading only the tip slope. Each step is the exact rotation
+    of every mode under its held force, a fixed recursion with nothing to
+    converge; it uses no matrix exponential and no nodal first-order matrix."""
     omega, V = model.modal_basis()
     c, sinc, one_minus_cos, ms = (a[:, None] for a in _step_coefficients(omega, g.dt))
     force_dir = -V.T[:, -1:]
@@ -486,7 +488,59 @@ def _forced_slope_integrals(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -
         eta, etadot = (c * eta + sinc * etadot + one_minus_cos * phi,
                        ms * eta + c * etadot + sinc * phi)
         wx1[:, step + 1] = slope @ eta
-    return _trapezoid_rows(wx1**2, g.dt)
+    return wx1
+
+
+def _forced_slope_integrals(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.ndarray:
+    """int w_x(1)^2 from rest under each row of held shear samples, the
+    trapezoid rule on `_forced_tip_slopes`."""
+    return _trapezoid_rows(_forced_tip_slopes(model, g, inputs) ** 2, g.dt)
+
+
+def _closed_loop_roots(model: BeamModel, k: float, seeds: np.ndarray) -> np.ndarray | None:
+    """The 2 n_dof eigenvalues of the beam under shear feedback u = k w_t(1),
+    refined from `seeds` (one per eigenvalue) in the modal form.
+
+    With V' M V = I, V' S V = Omega^2 and phi = V[-1, :] the closed loop is
+    eta'' = -Omega^2 eta - k phi phi' eta', so its eigenvalues are the roots
+    of the secular equation f(lam) = 1 + k lam sum phi_j^2 / (lam^2 +
+    omega_j^2) (Golub, SIAM Rev. 15(2), 1973), apart from the modes with
+    phi_j^2 <= eps |phi|^2: those do not couple to the tip and keep
+    +-i omega_j, which the nearest seed takes. Every other seed is refined
+    by Newton on f. Converged only when the last Newton step of every root
+    is at most 1e-12 |lam| and the roots are pairwise more than
+    1e-9 (1 + |lam|) apart, since 2 n_dof distinct roots of a degree-2 n_dof
+    equation are all of them. Then the roots come back in the order of
+    their seeds; otherwise None, with no fallback to a dense eigensolver."""
+    omega, V = model.modal_basis()
+    phi2 = V[-1] ** 2
+    lam = np.array(seeds, dtype=complex).reshape(-1)
+    if lam.shape != (2 * model.n_dof,):
+        raise ShapeError(f"need {2 * model.n_dof} seeds, got {lam.size}")
+    coupled = phi2 > np.finfo(float).eps * np.sum(phi2)
+    active = np.ones(lam.size, dtype=bool)
+    for root in np.concatenate([1j * omega[~coupled], -1j * omega[~coupled]]):
+        nearest = int(np.argmin(np.where(active, np.abs(lam - root), np.inf)))
+        lam[nearest], active[nearest] = root, False
+    w2, p2 = omega[coupled] ** 2, phi2[coupled]
+    with np.errstate(all="ignore"):
+        for _ in range(50):
+            x = lam[active]
+            den = x[:, None] ** 2 + w2
+            f = 1.0 + k * x * np.sum(p2 / den, axis=1)
+            df = k * np.sum(p2 * (w2 - x[:, None] ** 2) / den**2, axis=1)
+            step = f / df
+            lam[active] = x - step
+            active[active] = ~(np.abs(step) <= 1e-12 * np.abs(lam[active]))
+            if not active.any():
+                break
+        else:
+            return None
+    gaps = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if np.any(gaps <= 1e-9 * (1.0 + np.abs(lam))[:, None]):
+        return None
+    return lam
 
 
 def _central_dt(values: np.ndarray, dt: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from regsys import (
     beam_transfer_H1,
     close_boundary_loop,
     energy,
+    io_map,
     multiplier_rho,
     multiplier_rho1,
     random_smooth_state,
@@ -415,6 +416,17 @@ def _simulated_worst_ratio(kind, N, T, trials, seed, n_steps):
     return max(ratios) if kind == "admissibility" else min(ratios)
 
 
+def _modal_closed_loop(omega, phi, k):
+    """[[0, Omega], [-Omega, -k phi phi']]: the shear-feedback loop in the
+    energy coordinates (Omega eta, eta') of a modal basis."""
+    n = len(omega)
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.diag(omega)
+    a[n:, :n] = -np.diag(omega)
+    a[n:, n:] = -k * np.outer(phi, phi)
+    return a
+
+
 class TestModalEngine:
     """The verification drivers evaluate only F and the two boundary
     traces; `simulate` is the full nodal oracle they must agree with."""
@@ -501,6 +513,57 @@ class TestModalEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * table_bytes
+
+    @given(N=st.integers(8, 120), k=st.floats(0.05, 2.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10)
+    def test_modal_references_match_nodal_system(self, N, k, seed):
+        # the two references of boundary-feedin against the dense nodal
+        # side; that side loses digits like eps ||A||, ||A|| ~ N^4 (2.6e-8 on
+        # the overdamped root at N = 119, k = 2), so it is held to 1e-7 and
+        # the roots to 1e-10 against the well-conditioned energy-coordinate
+        # modal matrix [[0, Omega], [-Omega, -k phi phi']]
+        model = beam_model(N, "shear-input")
+        g = TimeGrid(1.0, 1000)
+        u = regsys.beam._smooth_input(g, np.random.default_rng(seed))
+        a, b = model.first_order_matrices()
+        nodal = io_map(Realization(a, b, model.trace_rows()[:1], np.zeros((1, 1))), g, u)
+        slopes = regsys.beam._forced_tip_slopes(model, g, u.values[:, 0][None, :])[0]
+        y = nodal.values[:, 0]
+        assert np.max(np.abs(slopes - y)) <= 1e-7 * np.max(np.abs(y))
+
+        a_fb, _ = beam_model(N, "shear-feedback", k).first_order_matrices()
+        seeds = np.linalg.eigvals(a_fb)
+        roots = regsys.beam._closed_loop_roots(model, k, seeds)
+        assert roots is not None and roots.shape == (2 * model.n_dof,)
+        assert np.max(np.abs(roots - seeds) / (1.0 + np.abs(roots))) <= 1e-7
+        omega, V = model.modal_basis()
+        oracle = np.linalg.eigvals(_modal_closed_loop(omega, V[-1], k))
+        # 2 n_dof distinct roots: each takes a different oracle eigenvalue
+        nearest = np.argmin(np.abs(roots[:, None] - oracle[None, :]), axis=1)
+        assert len(np.unique(nearest)) == 2 * model.n_dof
+        assert np.max(np.abs(roots - oracle[nearest]) / (1.0 + np.abs(roots))) <= 1e-10
+
+    def test_closed_loop_roots_guard_and_refusals(self):
+        # a mode without tip displacement keeps +-i omega_j, which f cannot
+        # find; seeds that meet at one root, or do not converge, are refused
+        omega = np.array([1.0, 2.0, 3.0])
+        V = np.eye(3)
+        V[-1] = [0.5, 0.0, 0.8]
+        fake = type("Modes", (), {"n_dof": 3, "modal_basis": lambda self: (omega, V)})()
+        k = 0.7
+        oracle = np.linalg.eigvals(_modal_closed_loop(omega, V[-1], k))
+        roots = regsys.beam._closed_loop_roots(fake, k, oracle * (1.0 + 1e-4))
+        assert 2j in roots and -2j in roots
+        assert np.max(np.abs(roots - oracle)) <= 1e-12
+        coupled = np.argmax(np.abs(oracle.real))
+        twice = oracle.copy()
+        twice[(coupled + 1) % 6] = oracle[coupled]
+        assert regsys.beam._closed_loop_roots(fake, k, twice) is None
+        stuck = oracle.copy()
+        stuck[coupled] = np.nan
+        assert regsys.beam._closed_loop_roots(fake, k, stuck) is None
+        with pytest.raises(ShapeError):
+            regsys.beam._closed_loop_roots(fake, k, oracle[:4])
 
     def test_basis_is_cached_and_read_only(self):
         model = beam_model(20)

@@ -1,12 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+import regsys.beam
 import regsys.boundary
+import regsys.node
 from regsys import (
     AdmissibilityError,
+    BeamModel,
     BoundaryTriple,
     ShapeError,
     SpectrumError,
@@ -337,6 +342,44 @@ class TestFeedIn:
         report = run({"kind": "boundary-feedin", "N": 300, "seed": 0})
         failed = [a["name"] for a in report["assertions"] if not a["passed"]]
         assert report["passed"], failed
+
+    def test_beam_checks_see_a_wrong_nodal_system(self, monkeypatch):
+        # a stiffness 1 % high in first_order_matrices reaches the triple,
+        # its restriction and its closed loop alike; only the modal
+        # references, built from the mass and stiffness directly, can see it
+        exact = BeamModel.first_order_matrices
+
+        def stiffer(self):
+            a, b = exact(self)
+            a[self.n_dof:, : self.n_dof] *= 1.01
+            return a, b
+
+        monkeypatch.setattr(BeamModel, "first_order_matrices", stiffer)
+        report = run({"kind": "boundary-feedin", "N": 24, "seed": 0})
+        failed = {a["name"] for a in report["assertions"] if not a["passed"]}
+        assert {"beam_trajectory_agreement", "beam_closed_loop_eigenvalues"} <= failed
+
+    def test_one_io_map_expm_and_eigvals_per_run(self, monkeypatch):
+        # the triple side is the only dense trajectory and the only dense
+        # spectrum: the references are the modal recursion and secular roots
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        io_map = regsys.node.io_map
+        for mod in [m for name, m in sys.modules.items() if name.startswith("regsys")]:
+            if getattr(mod, "io_map", None) is io_map:
+                monkeypatch.setattr(mod, "io_map", counting("io_map", io_map))
+        for mod, name in ((scipy.linalg, "expm"), (regsys.beam, "expm"),
+                          (np.linalg, "eigvals"), (np.linalg._linalg, "eigvals")):
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        report = run({"kind": "boundary-feedin", "N": 24, "seed": 0})
+        assert report["passed"]
+        assert sorted(calls) == ["eigvals", "expm", "io_map"]
 
     def test_control_composite_on_wave(self):
         # the B half of the full composite: B1 (I - Kbar1)^-1 Kbar2 + B2
