@@ -16,8 +16,8 @@ class SpectrumError(RegsysError):
 
 class AdmissibilityError(RegsysError):
     """A feedback loop cannot be closed: its loop matrix (I - D gamma,
-    I - D_bar, I - G11(lam), I - Kbar) or a boundary block T_b fails the one
-    rcond gate of the solves, or the grid admissibility verdict is negative."""
+    I - D_bar, I - F on the grid, I - G11(lam), I - Kbar) or a boundary
+    block T_b fails the one rcond gate of the solves."""
 
 
 class ControllabilityError(RegsysError):

@@ -18,6 +18,10 @@ stack, the grid map the left side reads, the blocks of the right side
 F21 (I - F)^-1 F12 + F22, and a transfer probe (the stack with the state
 read out or fed in) whose closed transfer must equal G22 + G21 (I - G11)^-1
 G12 of the open one, both through `node.transfer` and its singularity gate.
+The right side's one LU of I - F on the grid is also the grid admissibility
+verdict; an exactly singular I - F is refused first at its diagonal blocks
+I - D_bar. When F12 is a block lower-triangular Toeplitz io-map (across,
+double), so is (I - F)^-1 F12, and only its first block column is solved.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .errors import AdmissibilityError, ControllabilityError, ShapeError
 from .grids import TimeGrid
 from .node import (
     Realization,
+    _block_toeplitz,
     _checked_solve,
     _control_columns,
     _io_toeplitz,
@@ -80,7 +85,7 @@ def admissible_feedback_check(r: Realization, fb: FeedbackGain, g: TimeGrid) -> 
     Builds the discrete input-output matrix F on the grid and inspects
     I - F * blockdiag(gamma), together with the static loop matrix I - D
     gamma. The verdict is relative: smallest singular value above 1e-8
-    times the largest.
+    times the largest, from SVDs, since the values are reported.
 
     Returns a dict with keys admissible, condition_number, sigma_min,
     feedthrough_sigma_min.
@@ -88,18 +93,11 @@ def admissible_feedback_check(r: Realization, fb: FeedbackGain, g: TimeGrid) -> 
     gamma = fb.matrix()
     if gamma.shape != (r.m, r.p):
         raise ShapeError(f"gamma must be {r.m} x {r.p}, got {gamma.shape}")
-    return _loop_admissibility(quadruple_maps(r, g).io_map, r.D, gamma, g.n_steps)
-
-
-def _loop_admissibility(fio: np.ndarray, D: np.ndarray, gamma: np.ndarray, n_steps: int) -> dict:
-    """The verdict of `admissible_feedback_check` from a built io-map."""
-    rows, (m, p) = fio.shape[0], gamma.shape
+    N, p = g.n_steps, r.p
     # F blockdiag(gamma, ..., gamma): one m x p block product per step
-    gained = (fio.reshape(rows, n_steps, m) @ gamma).reshape(rows, n_steps * p)
-    loop = np.eye(rows) - gained
-    sv = np.linalg.svd(loop, compute_uv=False)
-    static = np.eye(D.shape[0]) - D @ gamma
-    sv_static = np.linalg.svd(static, compute_uv=False)
+    gained = (quadruple_maps(r, g).io_map.reshape(N * p, N, r.m) @ gamma).reshape(N * p, N * p)
+    sv = np.linalg.svd(np.eye(N * p) - gained, compute_uv=False)
+    sv_static = np.linalg.svd(np.eye(p) - r.D @ gamma, compute_uv=False)
     ok_grid = sv[-1] > _ADMISSIBILITY_RTOL * sv[0]
     ok_static = sv_static[-1] > _ADMISSIBILITY_RTOL * sv_static[0]
     return {
@@ -320,10 +318,6 @@ def _compose(theorem: str, main: Realization, perts: tuple, g: TimeGrid,
     whose channels past the first m carry the transfer identity."""
     qm_main = quadruple_maps(main, g)
     m, N = main.m, g.n_steps
-    check = _loop_admissibility(qm_main.io_map, main.D, np.eye(m), N)
-    if not check["admissible"]:
-        raise AdmissibilityError("identity feedback is not admissible on this grid "
-                                 f"(sigma_min={check['sigma_min']:.3e})")
     s_out = _checked_solve(np.eye(m) - main.D, np.eye(m), _ADMISSIBILITY_RTOL,
                            AdmissibilityError, "I - D")
     closed = close(main.A + main.B @ s_out @ main.C, s_out)
@@ -334,11 +328,14 @@ def _compose(theorem: str, main: Realization, perts: tuple, g: TimeGrid,
                        AdmissibilityError, "I - D_bar")
     lhs = left(*_closed_step(step, m, S), N)
 
-    # discrete side, right: block composition of the open-loop maps; I - F
-    # is invertible by the admissibility verdict above
+    # discrete side, right: block composition of the open-loop maps, with
+    # the grid verdict in its one LU and X gathered from one block column
     qm_perts = [quadruple_maps(pert, g) for pert in perts]
     f12, f21, f22 = blocks(qm_main, *qm_perts)
-    rhs = f21 @ np.linalg.solve(np.eye(N * m) - qm_main.io_map, f12) + f22
+    cols = f12.shape[1] if theorem == "cross" else f12.shape[1] // N
+    x = _checked_solve(np.eye(N * m) - qm_main.io_map, f12[:, :cols], _ADMISSIBILITY_RTOL,
+                       AdmissibilityError, "I - F on the grid")
+    rhs = f21 @ (x if theorem == "cross" else _block_toeplitz(x, N)) + f22
 
     # transfer side: the closed probe against G22 + G21 (I - G11)^-1 G12 of
     # the open probe, at real frequencies clear of both spectra

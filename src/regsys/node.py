@@ -268,24 +268,27 @@ def _observation_rows(C: np.ndarray, E: np.ndarray, n_steps: int) -> np.ndarray:
     return np.concatenate(blocks, axis=-2)
 
 
+def _block_toeplitz(col: np.ndarray, n_steps: int) -> np.ndarray:
+    """Block lower-triangular Toeplitz matrix with first block column col.
+    Block row i is the columns (N-1-i) m : (2N-1-i) m of the p x (2N-1) m
+    row buffer [T_(N-1), ..., T_0, 0, ..., 0] of the blocks of col: one
+    sliding-window view with step m, copied once."""
+    N = n_steps
+    p, m = col.shape[0] // N, col.shape[1]
+    row = np.zeros((p, (2 * N - 1) * m), dtype=col.dtype)
+    row[:, : N * m] = col.reshape(N, p, m)[::-1].transpose(1, 0, 2).reshape(p, N * m)
+    windows = np.lib.stride_tricks.sliding_window_view(row, N * m, axis=1)[:, ::m]
+    return np.ascontiguousarray(windows[:, ::-1].transpose(1, 0, 2).reshape(N * p, N * m))
+
+
 def _io_toeplitz(E: np.ndarray, M: np.ndarray, C: np.ndarray, D: np.ndarray, n_steps: int) -> np.ndarray:
     """Input-output map: block lower-triangular Toeplitz with D on the
-    diagonal and C E^(j-1) M on the j-th block subdiagonal.
-
-    With seq = [C E^(N-2) M, ..., C M, D, 0, ..., 0] (2N-1 blocks), block
-    row i is seq[N-1-i : 2N-1-i], so the map is a sliding-window view over
-    seq, copied once by the final reshape.
-    """
-    N = n_steps
-    p, m = D.shape
-    seq = np.zeros((2 * N - 1, p, m), dtype=np.result_type(E, M, C, D))
-    seq[N - 1] = D
-    acc = C
-    for j in range(N - 2, -1, -1):
-        seq[j] = acc @ M
+    diagonal and C E^(j-1) M on the j-th block subdiagonal."""
+    blocks, acc = [D], C
+    for _ in range(n_steps - 1):
+        blocks.append(acc @ M)
         acc = acc @ E
-    windows = np.lib.stride_tricks.sliding_window_view(seq, N, axis=0)
-    return windows[::-1].transpose(0, 1, 3, 2).reshape(N * p, N * m)
+    return _block_toeplitz(np.concatenate(blocks), n_steps)
 
 
 def quadruple_maps(r: Realization, g: TimeGrid) -> QuadrupleMaps:

@@ -28,6 +28,7 @@ from regsys import (
     theta0_bound,
     transfer,
 )
+from regsys.node import _block_toeplitz, _rel_dev
 
 GRID = TimeGrid(1.5, 32)
 
@@ -374,3 +375,28 @@ class TestCompositionSkeleton:
 
         monkeypatch.setattr(regsys.feedback, "_compose", skewed)
         assert good <= 1e-10 < 1e-8 < compose(*systems, GRID).deviation_transfer
+
+
+class TestToeplitzRightSide:
+    """For an io-map F12, X = (I - F)^-1 F12 is block lower-triangular
+    Toeplitz, so the right side solves only its first block column and
+    gathers the rest."""
+
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 64), m=st.integers(1, 3),
+           q=st.integers(1, 3))
+    def test_gathered_solution_matches_the_dense_solve(self, seed, N, m, q):
+        rng = np.random.default_rng(seed)
+        g = TimeGrid(1.5, N)
+        main = random_realization(rng, 3, m, m, grid=g)
+        pert = Realization(main.A, rng.standard_normal((3, q)), main.C,
+                           0.1 * rng.standard_normal((m, q)))
+        loop = np.eye(N * m) - quadruple_maps(main, g).io_map
+        f12 = quadruple_maps(pert, g).io_map
+        col = np.linalg.solve(loop, f12[:, :q])
+        x = _block_toeplitz(col, N)
+        assert _rel_dev(x, np.linalg.solve(loop, f12)) <= 1e-12
+        ref = np.zeros((N * m, N * q))
+        for i in range(N):
+            for k in range(i + 1):
+                ref[i * m : (i + 1) * m, k * q : (k + 1) * q] = col[(i - k) * m : (i - k + 1) * m]
+        assert np.array_equal(x, ref)

@@ -25,6 +25,7 @@ from regsys import (
     SpectrumError,
     TimeGrid,
     across_instance,
+    admissible_feedback_check,
     beam_model,
     close_boundary_loop,
     closed_loop,
@@ -40,6 +41,7 @@ from regsys import (
     perturb_across,
     perturb_cross,
     perturb_double,
+    quadruple_maps,
     random_realization,
     restrict_generator,
     robustness_sweep,
@@ -115,7 +117,9 @@ def _old_refuses(mat, rhs, rtol, what):
     if "T_b" in what:  # relative to the 2-norm of all the traces [T_i T_b]
         traces = np.hstack([rhs[:, : rhs.shape[1] - mat.shape[0]], mat])
         return sv[-1] <= rtol * np.linalg.svd(traces, compute_uv=False)[0]
-    if rtol == 1e-12:  # the sweep's loop, relative with no unit floor
+    if rtol == 1e-12 or what == "I - F on the grid":
+        # the sweep's loop and the SVD verdict of admissible_feedback_check:
+        # relative with no unit floor
         return not sv[-1] > rtol * sv[0]
     return sv[-1] <= rtol * max(sv[0], 1.0)
 
@@ -151,6 +155,8 @@ class TestRefusalParity:
             except (AdmissibilityError, SpectrumError):
                 pass
 
+        for factor in (1e-3, 1e3):
+            attempt(lambda: perturb_across(*_integrator_loop(factor), GRID))
         for seed in range(8):
             perturb_across(*across_instance(np.random.default_rng(seed), GRID), GRID)
             perturb_cross(*cross_instance(np.random.default_rng(100 + seed), GRID), GRID)
@@ -195,12 +201,74 @@ class TestRefusalParity:
         flips = [(what, old, new) for what, old, new, _ in log if old != new]
         assert flips == []
         refused = {what.split("(")[0] for what, _, new, _ in log if new}
-        assert {"I - D gamma", "the boundary block T_b of the traces"} <= refused
+        assert {"I - D gamma", "I - F on the grid", "the boundary block T_b of the traces"} <= refused
         assert refused_gains == 2
         for what, _, _, est in log:
             if est is not None:
                 ratio, n = est
                 assert 1.0 / np.sqrt(n) * (1 - 1e-9) <= ratio <= 3.0 * np.sqrt(n), what
+
+    def test_grid_gate_refuses_where_the_admissibility_check_does(self):
+        # over the instance families and the integrator loops at 1e-3, 0.1,
+        # 10 and 1e3 times the threshold, a composition is refused exactly
+        # where admissible_feedback_check(main, identity) is negative
+        cases = [(perturb_across, _integrator_loop(factor)) for factor in (1e-3, 1e-1, 1e1, 1e3)]
+        for seed in range(8):
+            cases += [(perturb_across, across_instance(np.random.default_rng(seed), GRID)),
+                      (perturb_cross, cross_instance(np.random.default_rng(100 + seed), GRID)),
+                      (perturb_double, double_instance(np.random.default_rng(200 + seed), GRID))]
+        verdicts = []
+        for compose, systems in cases:
+            main = systems[0]
+            check = admissible_feedback_check(main, FeedbackGain(np.eye(main.m)), GRID)
+            try:
+                compose(*systems, GRID)
+                refused = False
+            except AdmissibilityError as err:
+                assert "I - F on the grid" in str(err)
+                refused = True
+            verdicts.append((refused, not check["admissible"]))
+        assert all(new == old for new, old in verdicts)
+        assert [new for new, _ in verdicts[:4]] == [True, True, False, False]
+
+    def test_unit_floor_band(self):
+        # ||I - F|| < 1 with sigma_min between 1e-8 sigma_max and 1e-8: the
+        # SVD verdict, relative with no unit floor, admits the loop, and the
+        # gate, whose threshold is floored at 1e-8, refuses it (README,
+        # Numerical notes). I - D_bar = [1e-3] passes its own gate
+        main, pert = _integrator_loop(1e-1, d_bar=1.0 - 1e-3)
+        sv = np.linalg.svd(np.eye(GRID.n_steps) - quadruple_maps(main, GRID).io_map,
+                           compute_uv=False)
+        assert sv[0] < 1.0 and 1e-8 * sv[0] < sv[-1] < 1e-8
+        assert admissible_feedback_check(main, FeedbackGain([[1.0]]), GRID)["admissible"]
+        with pytest.raises(AdmissibilityError, match="I - F on the grid"):
+            perturb_across(main, pert, GRID)
+
+
+def _integrator_loop(factor, d_bar=0.0):
+    """(main, pert) for perturb_across: main is the scalar integrator (0, 1,
+    c, d) with d = d_bar - c dt / 2, so that its averaged feedthrough is
+    D_bar = d_bar up to rounding, and I - F on GRID is lower-triangular
+    Toeplitz, 1 - d_bar on the diagonal and -c dt below it. c is set by
+    bisection so that the gate value rcond ||I - F||_1 / (1e-8 max(||I -
+    F||_1, 1)) is factor (from above)."""
+    def system(b):
+        return Realization([[0.0]], [[1.0]], [[b / GRID.dt]], [[d_bar - b / 2]])
+
+    def value(b):
+        mat = np.eye(GRID.n_steps) - quadruple_maps(system(b), GRID).io_map
+        anorm = np.linalg.norm(mat, 1)
+        rcond, _ = scipy.linalg.lapack.dgecon(scipy.linalg.lu_factor(mat)[0], anorm)
+        return rcond * anorm / (1e-8 * max(anorm, 1.0))
+
+    lo, hi = 0.0, 10.0
+    assert value(lo) > factor > value(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if value(mid) > factor else (lo, mid)
+    assert factor < value(lo) < 2.0 * factor
+    main = system(lo)
+    return main, Realization(main.A, [[1.0]], main.C, [[0.1]])
 
 
 def _scalar(a=-1.0, b=1.0, c=1.0, d=0.0):
@@ -245,6 +313,17 @@ class TestSitesAtTheirThresholds:
                 perturb_across(main, pert, GRID)
         else:
             perturb_across(main, pert, GRID)
+
+    @pytest.mark.parametrize("factor, refused", [(1e-3, True), (1e3, False)])
+    def test_composition_grid_loop(self, factor, refused):
+        # an integrator loop with D_bar = 0: I - D and I - D_bar pass, and
+        # I - F on the grid has its gate value at factor; threshold 1e-8
+        main, pert = _integrator_loop(factor)
+        if refused:
+            with pytest.raises(AdmissibilityError, match="I - F on the grid"):
+                perturb_across(main, pert, GRID)
+        else:
+            assert perturb_across(main, pert, GRID).deviation_time <= 1e-10
 
     def test_composition_lft_gate(self, monkeypatch):
         # the transfer-side loop I - G11(lam) is gated like the others
@@ -339,15 +418,15 @@ def _calls(func_names):
 
 def test_one_singularity_gate():
     # the LU, its condition estimate and the LU solve are read only inside
-    # _checked_solve; a dense solve outside it only at the two reported-value
-    # sites: the block right side of a composition (behind the admissibility
-    # verdict) and the Gramian solve of min_norm_control (behind the
-    # controllability verdict)
+    # _checked_solve; a dense solve outside it only at the one reported-value
+    # site, the Gramian solve of min_norm_control (behind the controllability
+    # verdict). The block right side of a composition is gated: its LU of
+    # I - F is the grid admissibility verdict
     gate = _calls({"lu_factor", "lu_solve", "dgecon", "zgecon", "getrf", "gesv"})
     assert gate and {(f, fn) for f, fn, _ in gate} == {("node.py", "_checked_solve")}
     solves = [(f, fn) for f, fn, text in _calls({"solve", "inv", "pinv", "lstsq"})
               if text.startswith(("np.", "numpy.", "scipy."))]
-    assert sorted(solves) == [("feedback.py", "_compose"), ("gramian.py", "min_norm_control")]
+    assert solves == [("gramian.py", "min_norm_control")]
     for name in ("_inv", "_feedback_loop_inverse"):
         assert not any(getattr(mod, name, None) for mod in
                        (regsys.node, regsys.feedback, regsys.boundary, regsys.gramian))

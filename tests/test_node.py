@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regsys.feedback
 from regsys import (
     GridError,
     Realization,
@@ -23,7 +24,11 @@ from regsys import (
     lifted_quadruple,
     output_map,
     across_instance,
+    cross_instance,
+    double_instance,
     perturb_across,
+    perturb_cross,
+    perturb_double,
     quadruple_maps,
     random_realization,
     regularity_limit,
@@ -465,24 +470,37 @@ class TestSpectralNorm:
     def test_empty_matrix_is_zero(self):
         assert _spectral_norm(np.zeros((0, 3))) == 0.0
 
-    def test_one_large_svd_per_across_composition(self, monkeypatch):
-        # operator norms come from the Gram kernel; the only SVD at io-map
-        # size is the sigma_min verdict of the identity-loop admissibility gate
+    @pytest.mark.parametrize("theorem", ["across", "cross", "double"])
+    def test_no_large_svd_and_one_grid_solve_per_composition(self, monkeypatch, theorem):
+        # operator norms come from the Gram kernel and the grid admissibility
+        # verdict is the gate of the right side's solve: no SVD at io-map
+        # size, and exactly one gated solve of a matrix that large
+        instance, compose = {"across": (across_instance, perturb_across),
+                             "cross": (cross_instance, perturb_cross),
+                             "double": (double_instance, perturb_double)}[theorem]
         g = TimeGrid(2.0, 64)
-        main, pert = across_instance(np.random.default_rng(3), g)
-        svd = np.linalg.svd
-        large = []
+        systems = instance(np.random.default_rng(3), g)
+        size = g.n_steps * systems[0].m
+        svd, gate = np.linalg.svd, regsys.feedback._checked_solve
+        large_svd, large_solve = [], []
 
-        def counting(a, *args, **kwargs):
-            if min(np.shape(a)[-2:]) >= g.n_steps * main.m:
-                large.append(sys._getframe(1).f_code.co_name)
+        def counting_svd(a, *args, **kwargs):
+            if min(np.shape(a)[-2:]) >= size:
+                large_svd.append(sys._getframe(1).f_code.co_name)
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        monkeypatch.setattr(np.linalg._linalg, "svd", counting)
-        report = perturb_across(main, pert, g)
-        assert report.k0 is not None
-        assert large == ["_loop_admissibility"]
+        def counting_gate(mat, rhs, rtol, error, what):
+            if mat.shape[0] >= size:
+                large_solve.append(what)
+            return gate(mat, rhs, rtol, error, what)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counting_svd)
+        monkeypatch.setattr(regsys.feedback, "_checked_solve", counting_gate)
+        report = compose(*systems, g)
+        assert report.deviation_time <= 1e-12
+        assert large_svd == []
+        assert large_solve == ["I - F on the grid"]
 
     def test_no_two_norm_outside_the_kernel(self):
         # every operator 2-norm in the package goes through _spectral_norm:
