@@ -21,7 +21,10 @@ exponential integrator expressed in eigencoordinates), the dissipative
 feedback mode by the matrix exponential of the closed-loop generator;
 neither has a step-size stability restriction.
 
-The modal basis is computed once per model. `simulate` is the full nodal
+The modal basis is computed once per model from the SVD of the energy
+factor R = P M^-1/2 (S = P'P): V = M^-1/2 W, omega_k = |R w_k|, each mode
+signed to a positive tip displacement so that states drawn through V do
+not depend on the LAPACK build. `simulate` is the full nodal
 path: displacement and velocity at every node and time, every functional
 of them, and the energy refused on drift at every node. The verification
 drivers evaluate no nodal energy: each trial's drift is certified at every
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, expm  # noqa: F401 (eigh: the benchmark tracer wraps regsys.beam.eigh)
 
 from .boundary import BoundaryTriple
 from .errors import RegsysError, ShapeError
@@ -118,33 +121,27 @@ class BeamModel:
         return self._basis
 
     @cached_property
-    def _basis(self) -> tuple[np.ndarray, np.ndarray]:
-        inv_sqrt_m = 1.0 / np.sqrt(self.masses)
-        sym = self.stiffness * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
-        sym = (sym + sym.T) / 2.0
-        _, vecs = eigh(sym)
-        V = vecs * inv_sqrt_m[:, None]
-        # eigh's backward error scales with the largest eigenvalue
-        # (~1/dx^4), which leaves the low modes mutually S-orthogonal only
-        # to that absolute level; since the low modes are exactly the ones
-        # with large amplitudes at fixed energy, re-diagonalize their block
-        # in the row form of S, then take per-column Rayleigh quotients so
-        # each mode conserves its own discrete energy to rounding
+    def _energy_rows(self) -> np.ndarray:
+        """P = sqrt(dx weights) T with weights (1/2, 1, ..., 1): S = P'P and
+        the potential energy of w is |P w|^2 / 2."""
         weights = np.ones(self.n_dof)
         weights[0] = 0.5
-        k_block = min(self.n_dof, 32)
-        B = V[:, :k_block]
-        kb = self.curvature_rows @ B
-        sb = self.dx * kb.T @ (weights[:, None] * kb)
-        mb = B.T @ (self.masses[:, None] * B)
-        _, Q = eigh((sb + sb.T) / 2.0, (mb + mb.T) / 2.0)
-        V = V.copy()
-        V[:, :k_block] = B @ Q
-        kappa = self.curvature_rows @ V
-        kw = weights[:, None] * kappa * kappa
-        rq = self.dx * np.sum(kw, axis=0)
-        mnorm = np.sum(V * V * self.masses[:, None], axis=0)
-        omega = np.sqrt(np.maximum(rq / mnorm, 0.0))
+        rows = np.sqrt(self.dx * weights)[:, None] * self.curvature_rows
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _basis(self) -> tuple[np.ndarray, np.ndarray]:
+        # the SVD of R = P M^-1/2 has backward error ~eps omega_max, eigh of
+        # the Gram matrix R'R = M^-1/2 S M^-1/2 ~eps omega_max^2 (Demmel &
+        # Veselic, SIMAX 13(4), 1992); the per-column |R w_k| is accurate
+        # where sigma_k carries a relative error ~eps sigma_max / sigma_k
+        inv_sqrt_m = 1.0 / np.sqrt(self.masses)
+        R = self._energy_rows * inv_sqrt_m[None, :]
+        W = np.linalg.svd(R)[2][::-1].T
+        W = W * np.copysign(1.0, W[-1])
+        omega = np.linalg.norm(R @ W, axis=0)
+        V = W * inv_sqrt_m[:, None]
         omega.flags.writeable = False
         V.flags.writeable = False
         return omega, V
@@ -444,24 +441,22 @@ def _certified_drift(model: BeamModel, eta0: np.ndarray, etadot0: np.ndarray) ->
     max_t |F(t) - F(0)| / F(0), refused beyond 1e-8 as in `simulate`, for
     initial modal coordinates (modes x trials). In row form F = E +
     (etadot' dM etadot + xi' dS xi) / 2 with xi = Omega eta, E the modal
-    energy and dM = K'K - I, dS = Omega^-1 dx P'P Omega^-1 - I the basis
-    defects (K, P the kinetic and potential rows). The exact rotation
-    conserves E and keeps |xi_k(t)|, |etadot_k(t)| <= r_k =
-    |(omega_k eta0_k, etadot0_k)|, so |F(t) - F(0)| <= r'(|dM| + |dS|)r at
-    every t. 2 n_dof eps I added to that matrix allows for rounding: of E,
+    energy and dM = K'K - I, dS = Omega^-1 P'P Omega^-1 - I the defects of
+    the basis V in use (K = M^1/2 V the kinetic rows, P = `_energy_rows` V
+    the potential rows). The exact rotation conserves E and keeps
+    |xi_k(t)|, |etadot_k(t)| <= r_k = |(omega_k eta0_k, etadot0_k)|, so
+    |F(t) - F(0)| <= r'(|dM| + |dS|)r at every t. 2 n_dof eps I added to that matrix allows for rounding: of E,
     and of a nodal F (n_dof-term sums, cancelling curvature rows), which
     puts up to ~3 n_dof eps (sampled) in the drift that `simulate` shows."""
     omega, V = model.modal_basis()
-    weights = np.ones(model.n_dof)
-    weights[0] = 0.5
     kin_rows = np.sqrt(model.masses)[:, None] * V
-    pot_rows = np.sqrt(weights)[:, None] * (model.curvature_rows @ V)
+    pot_rows = model._energy_rows @ V
     eye = np.eye(model.n_dof)
     defect = (np.abs(kin_rows.T @ kin_rows - eye)
-              + np.abs(model.dx * (pot_rows.T @ pot_rows) / np.outer(omega, omega) - eye)
+              + np.abs((pot_rows.T @ pot_rows) / np.outer(omega, omega) - eye)
               + 2.0 * model.n_dof * np.finfo(float).eps * eye)
     f0 = (np.sum((kin_rows @ etadot0) ** 2, axis=0)
-          + model.dx * np.sum((pot_rows @ eta0) ** 2, axis=0)) / 2.0
+          + np.sum((pot_rows @ eta0) ** 2, axis=0)) / 2.0
     r = np.hypot(omega[:, None] * eta0, etadot0)
     bound = np.sum(r * (defect @ r), axis=0)
     drift = np.divide(bound, f0, out=np.zeros_like(f0), where=f0 > 0)
