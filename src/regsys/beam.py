@@ -94,8 +94,7 @@ class BeamModel:
 
     def realization(self) -> Realization:
         a, b = self.first_order_matrices()
-        return Realization(a, b, self.trace_rows(), np.zeros((3, 1)),
-                           state_label="beam", input_label="shear", output_label="traces")
+        return Realization(a, b, self.trace_rows(), np.zeros((3, 1)))
 
     def boundary_triple(self) -> BoundaryTriple:
         """Extended pencil with the shear value as an explicit coordinate:

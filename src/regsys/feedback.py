@@ -256,6 +256,20 @@ def _channels(main: Realization, b=None, c=None, bc=None) -> Realization:
     return Realization(main.A, B, C, D)
 
 
+def _companion_stack(mode: str, main: Realization, pert: Realization) -> Realization:
+    """The square loop system main with its companion stacked on: beside it
+    (mode "across", the companion shares A and C) or below it (mode
+    "cross", the companion shares A and B). Refuses any other pair."""
+    if main.m != main.p:
+        raise ShapeError("the looped system must be square (m == p)")
+    _require_shared("A", main.A, pert.A)
+    if mode == "across":
+        _require_shared("C", main.C, pert.C)
+        return _channels(main, b=pert)
+    _require_shared("B", main.B, pert.B)
+    return _channels(main, c=pert)
+
+
 def _readout(r: Realization) -> Realization:
     """(A, B, I, 0): r observed through its whole state."""
     return Realization(r.A, r.B, np.eye(r.n), np.zeros((r.n, r.m)))
@@ -377,16 +391,10 @@ def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> Composi
     on resolvents at sampled frequencies. When the perturbing input map is
     onto, the report carries the guaranteed gain margin k0.
     """
-    if main.m != main.p:
-        raise ShapeError("the looped system must be square (m == p)")
-    _require_shared("A", main.A, pert.A)
-    _require_shared("C", main.C, pert.C)
-    if pert.p != main.p:
-        raise ShapeError("perturbing output dimension must match the loop")
     return _compose(
         "across", main, (pert,), g,
         close=lambda a, s: Realization(a, main.B @ s @ pert.D + pert.B, s @ main.C, s @ pert.D),
-        stack=_channels(main, b=pert),
+        stack=_companion_stack("across", main, pert),
         left=lambda E, M, C, D, N: _control_columns(E, M, N),
         blocks=lambda qm, qp: (qp.io_map, qm.input_map, qp.input_map),
         # the state read out: (lam - A^I)^-1 B^I against the resolvent side
@@ -408,16 +416,10 @@ def perturb_cross(main: Realization, pert: Realization, g: TimeGrid) -> Composit
     guaranteed gain margin theta0 at the convention alpha0 = obs_constant/2
     when the perturbing output map is bounded below.
     """
-    if main.m != main.p:
-        raise ShapeError("the looped system must be square (m == p)")
-    _require_shared("A", main.A, pert.A)
-    _require_shared("B", main.B, pert.B)
-    if pert.m != main.m:
-        raise ShapeError("perturbing input dimension must match the loop")
     return _compose(
         "cross", main, (pert,), g,
         close=lambda a, s: Realization(a, main.B @ s, pert.D @ s @ main.C + pert.C, pert.D @ s),
-        stack=_channels(main, c=pert),
+        stack=_companion_stack("cross", main, pert),
         left=lambda E, M, C, D, N: _observation_rows(C, E, N),
         blocks=lambda qm, qp: (qm.output_map, qp.io_map, qp.output_map),
         # the state fed in: C^I (lam - A^I)^-1 against the resolvent side

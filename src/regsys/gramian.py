@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, ControllabilityError, GridError, ShapeError
-from .feedback import _channels, _closed_step, _margin_norms, k0_bound, theta0_bound
+from .feedback import _closed_step, _companion_stack, _margin_norms, k0_bound, theta0_bound
 from .grids import Signal, TimeGrid
 from .node import (
     Realization,
@@ -227,13 +227,13 @@ def robustness_sweep(
     records the first grid gain k_star at which the verdict fails (None if
     it never fails) and the margin k_star / bound_gain.
 
-    Refuses (ControllabilityError) when the base perturbed operator is not
-    bounded below at t0.
+    Refuses (ShapeError) a companion that does not share A and C (across)
+    or A and B (cross), and (ControllabilityError) when the base perturbed
+    operator is not bounded below at t0.
     """
     if mode not in ("across", "cross"):
         raise ValueError(f"mode must be 'across' or 'cross', got {mode!r}")
-    if main.m != main.p:
-        raise ShapeError("the looped system must be square (m == p)")
+    stack = _companion_stack(mode, main, pert)
     sub = _prefix_grid(g, t0)
     n_steps = sub.n_steps
     qm_main = quadruple_maps(main, sub)
@@ -260,7 +260,6 @@ def robustness_sweep(
     k_grid = np.asarray(k_grid, dtype=float)
 
     m = main.m
-    stack = _channels(main, b=pert) if mode == "across" else _channels(main, c=pert)
     step = lifted_quadruple(stack, sub.dt)
     live, S = np.ones(k_grid.shape, dtype=bool), []
     for j, k in enumerate(k_grid):

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -138,9 +139,6 @@ class Realization:
     B: np.ndarray = field(repr=False)
     C: np.ndarray = field(repr=False)
     D: np.ndarray = field(repr=False)
-    state_label: str = "X"
-    input_label: str = "U"
-    output_label: str = "Y"
 
     def __post_init__(self) -> None:
         A = _as_matrix(self.A, "A")
@@ -235,7 +233,7 @@ def lifted_quadruple(
 class QuadrupleMaps:
     """Grid matrices of the four system maps.
 
-    semigroup_samples[k] = exp(A k dt), k = 0..n_steps.
+    E          : exp(A dt), the one-step propagator.
     input_map  : n x (n_steps * m), block column k is E^(N-1-k) M.
     output_map : (n_steps * p) x n, block row j is C_bar E^j.
     io_map     : (n_steps * p) x (n_steps * m), block lower triangular
@@ -244,10 +242,21 @@ class QuadrupleMaps:
     """
 
     grid: TimeGrid
-    semigroup_samples: np.ndarray
+    E: np.ndarray
     input_map: np.ndarray
     output_map: np.ndarray
     io_map: np.ndarray
+
+    @cached_property
+    def semigroup_samples(self) -> np.ndarray:
+        """exp(A k dt), k = 0..n_steps, as sequential products of E; formed
+        when first read."""
+        E = self.E
+        samples = np.empty((self.grid.n_steps + 1,) + E.shape, dtype=E.dtype)
+        samples[0] = np.eye(E.shape[0])
+        for k in range(1, len(samples)):
+            samples[k] = E @ samples[k - 1]
+        return samples
 
 
 def _control_columns(E: np.ndarray, M: np.ndarray, n_steps: int) -> np.ndarray:
@@ -295,13 +304,9 @@ def quadruple_maps(r: Realization, g: TimeGrid) -> QuadrupleMaps:
     """Assemble the exact discrete quadruple on the grid."""
     N = g.n_steps
     E, M, C_bar, D_bar = lifted_quadruple(r, g.dt)
-    samples = np.empty((N + 1, r.n, r.n), dtype=E.dtype)
-    samples[0] = np.eye(r.n)
-    for k in range(1, N + 1):
-        samples[k] = E @ samples[k - 1]
     return QuadrupleMaps(
         g,
-        samples,
+        E,
         _control_columns(E, M, N),
         _observation_rows(C_bar, E, N),
         _io_toeplitz(E, M, C_bar, D_bar, N),

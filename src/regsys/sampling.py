@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gramian import control_operator, observability_constant, surjectivity_radius
 from .grids import TimeGrid
 from .node import Realization, _spectral_norm, quadruple_maps
 
@@ -73,8 +74,7 @@ def across_instance(
         db = rng.standard_normal((n, q))
         p_ft = 0.1 * rng.standard_normal((m, q))
         pert = Realization(main.A, db, main.C, p_ft)
-        phi = quadruple_maps(pert, g).input_map / np.sqrt(g.dt)
-        if g.n_steps * q >= n and np.linalg.svd(phi, compute_uv=False)[-1] > min_radius:
+        if g.n_steps * q >= n and surjectivity_radius(control_operator(pert, g).matrix) > min_radius:
             return main, pert
     raise RuntimeError("could not draw a companion with surjective input map")
 
@@ -99,8 +99,7 @@ def cross_instance(
         dc = rng.standard_normal((r_out, n))
         p_ft = 0.1 * rng.standard_normal((r_out, m))
         pert = Realization(main.A, main.B, dc, p_ft)
-        psi = quadruple_maps(pert, g).output_map * np.sqrt(g.dt)
-        if g.n_steps * r_out >= n and np.linalg.svd(psi, compute_uv=False)[-1] > min_constant:
+        if observability_constant(pert, g) > min_constant:
             return main, pert
     raise RuntimeError("could not draw a companion with bounded-below output map")
 

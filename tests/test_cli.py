@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from regsys.cli import KINDS, main, run, suite
@@ -90,6 +91,49 @@ class TestRun:
         cfg.update(patch)
         with pytest.raises(UsageError):
             run(cfg, profile=QUICK)
+
+
+# kind -> (full, quick) defaults, in suite order
+DEFAULTS = {
+    "quadruple-identities": ({"trials": 50}, {"trials": 12}),
+    "compose-across": ({"trials": 50}, {"trials": 10}),
+    "compose-cross": ({"trials": 50}, {"trials": 10}),
+    "compose-double": ({"trials": 50}, {"trials": 10}),
+    "k0-sweep": ({"trials": 25}, {"trials": 5}),
+    "theta0-sweep": ({"trials": 25}, {"trials": 5}),
+    "radius": ({"trials": 100}, {"trials": 30}),
+    "boundary-feedin": ({"N": 100, "wave_cells": 32, "gain": 0.5},
+                        {"N": 64, "wave_cells": 24, "gain": 0.5}),
+    "beam-transfer": ({"N": 400}, {"N": 200}),
+    "beam-bounds": ({"N": 200, "trials": 50, "T": 1.0, "delta": 0.1},
+                    {"N": 96, "trials": 8, "T": 1.0, "delta": 0.1}),
+    "beam-observability": ({"N": 200, "trials": 50, "T": 4.0},
+                           {"N": 96, "trials": 8, "T": 4.0}),
+}
+
+
+class TestConfigAndEncoding:
+    def test_kind_order_and_defaults(self):
+        from regsys.cli import _normalize_config
+
+        # suite() seeds kind i with seed + i, so the order is part of the reports
+        assert KINDS == tuple(DEFAULTS)
+        for kind, (full, quick) in DEFAULTS.items():
+            for profile, defaults in (("full", full), ("quick", quick)):
+                cfg = _normalize_config({"kind": kind}, profile)
+                assert cfg == {**defaults, "kind": kind, "seed": 0, "tolerances": {}}, (kind, profile)
+
+    def test_dumps_numpy_and_non_finite_values(self):
+        from regsys.cli import _dumps
+
+        doc = {"f32": np.float32(0.5), "i64": np.int64(7), "ninf32": np.float32(-np.inf),
+               "nested": (1, (2.0, np.float64(3.5), [np.int32(4)])),
+               "inf": float("inf"), "nan": np.nan, "array": np.array([np.inf, 1.0])}
+        text = _dumps(doc)
+        assert "NaN" not in text and "Infinity" not in text
+        assert json.loads(text) == {"f32": 0.5, "i64": 7, "ninf32": "-inf",
+                                    "nested": [1, [2.0, 3.5, [4]]],
+                                    "inf": "inf", "nan": "nan", "array": ["inf", 1.0]}
 
 
 class TestSuite:

@@ -247,6 +247,20 @@ class TestRobustnessSweep:
         with pytest.raises(ControllabilityError):
             robustness_sweep(main, dead, GRID, GRID.t_end, "across")
 
+    @pytest.mark.parametrize("mode", ["across", "cross"])
+    def test_companion_breaking_the_assumptions_refused(self, mode):
+        # the sweep closes the loop on main's A (and C or B), so a companion
+        # with its own A, or its own B on the cross side, is refused rather
+        # than measured against the wrong system
+        instance = across_instance if mode == "across" else cross_instance
+        main, pert = instance(np.random.default_rng(0), GRID)
+        if mode == "across":
+            bad = Realization(pert.A + 0.5 * np.eye(pert.n), pert.B, pert.C, pert.D)
+        else:
+            bad = Realization(pert.A, 2.0 * pert.B, pert.C, pert.D)
+        with pytest.raises(ShapeError):
+            robustness_sweep(main, bad, GRID, GRID.t_end, mode)
+
     def test_csv_and_json_outputs(self, tmp_path):
         rng = np.random.default_rng(13)
         main, pert = across_instance(rng, GRID)

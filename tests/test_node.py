@@ -260,6 +260,18 @@ class TestGridMaps:
         np.testing.assert_allclose(qm.output_map[:1, :], C_bar, rtol=1e-14)
         np.testing.assert_allclose(qm.io_map[:1, :2], D_bar, rtol=1e-14)
 
+    def test_semigroup_samples_formed_on_read(self):
+        r = random_realization(np.random.default_rng(3), 3, 2, 1, io_scale=None)
+        g = TimeGrid(1.0, 6)
+        qm = quadruple_maps(r, g)
+        assert "semigroup_samples" not in vars(qm)
+        E = lifted_quadruple(r, g.dt)[0]
+        products = [np.eye(3)]
+        for _ in range(g.n_steps):
+            products.append(E @ products[-1])
+        np.testing.assert_array_equal(qm.semigroup_samples, products)
+        assert qm.semigroup_samples is vars(qm)["semigroup_samples"]
+
     def test_io_toeplitz_structure(self):
         rng = np.random.default_rng(8)
         r = random_realization(rng, 3, 2, 2, io_scale=None)
