@@ -366,6 +366,8 @@ KINDS = tuple(_KINDS)
 
 
 def _normalize_config(raw: dict, profile: str = "full") -> dict:
+    if profile not in ("quick", "full"):
+        raise UsageError(f"profile must be 'quick' or 'full', got {profile!r}")
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
     unknown = set(raw) - _ALLOWED_KEYS
@@ -380,22 +382,16 @@ def _normalize_config(raw: dict, profile: str = "full") -> dict:
     cfg["seed"] = raw.get("seed", 0)
     if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
         raise UsageError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
-    for key in ("trials", "N", "wave_cells"):
-        if key in raw:
-            value = raw[key]
-            if not isinstance(value, int) or value < 1:
-                raise UsageError(f"{key} must be a positive integer, got {value!r}")
-            cfg[key] = value
-    for key in ("T", "delta", "gain"):
-        if key in raw:
-            value = raw[key]
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise UsageError(f"{key} must be positive, got {value!r}")
-            cfg[key] = float(value)
-    if "grid" in raw:
-        if not isinstance(raw["grid"], dict):
-            raise UsageError("grid must be an object with t_end and n_steps")
-        cfg["grid"] = raw["grid"]
+    grid = raw.get("grid", {})
+    if not isinstance(grid, dict) or not set(grid) <= {"t_end", "n_steps"}:
+        raise UsageError(f"grid must be an object with keys t_end and n_steps, got {grid!r}")
+    for key, value in (*raw.items(), *grid.items()):
+        if key in ("trials", "N", "wave_cells", "n_steps") and (not isinstance(value, int) or value < 1):
+            raise UsageError(f"{key} must be a positive integer, got {value!r}")
+        if key in ("T", "delta", "gain", "t_end") and (not isinstance(value, (int, float)) or value <= 0):
+            raise UsageError(f"{key} must be positive, got {value!r}")
+    cfg.update((key, raw[key]) for key in ("trials", "N", "wave_cells", "grid") if key in raw)
+    cfg.update((key, float(raw[key])) for key in ("T", "delta", "gain") if key in raw)
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise UsageError("tolerances must be an object of name: positive number")
@@ -458,8 +454,6 @@ def _plain(doc):
 
 def suite(profile: str, seed: int = 0, out_dir: str | Path | None = None) -> dict:
     """Run every experiment kind at the profile's trial counts."""
-    if profile not in ("quick", "full"):
-        raise UsageError(f"profile must be 'quick' or 'full', got {profile!r}")
     start = time.perf_counter()
     kinds = {}
     all_passed = True

@@ -13,10 +13,14 @@ rounding, not merely to discretization order.
 
 The three compositions are one linear-fractional check, `_compose`, of
 identity feedback closed over the first m channels of a stack carrying the
-perturbing channels too. Each theorem supplies its closed-loop form, the
-stack, the grid map the left side reads, the blocks of the right side
-F21 (I - F)^-1 F12 + F22, and a transfer probe (the stack with the state
-read out or fed in) whose closed transfer must equal G22 + G21 (I - G11)^-1
+perturbing channels too. Each theorem passes only the stack and its
+published closed-loop form. Every grid map comes from the stack's one
+lifted step through `node._grid_map`, read between the theorem's sides
+(the final state for across, the initial state for cross, neither for
+double): the left side from the closed step, the blocks of the right side
+F21 (I - F)^-1 F12 + F22 from the open one, and the gain margins are norms
+of those four blocks. The transfer probe (the stack with the state read
+out or fed in) must have a closed transfer equal to G22 + G21 (I - G11)^-1
 G12 of the open one, both through `node.transfer` and its singularity gate.
 The right side's one LU of I - F on the grid is also the grid admissibility
 verdict; an exactly singular I - F is refused first at its diagonal blocks
@@ -36,9 +40,7 @@ from .node import (
     Realization,
     _block_toeplitz,
     _checked_solve,
-    _control_columns,
-    _io_toeplitz,
-    _observation_rows,
+    _grid_map,
     _rel_dev,
     _spectral_norm,
     lifted_quadruple,
@@ -213,8 +215,6 @@ class CompositionReport:
 
     theorem: str
     closed_loop: Realization
-    lhs: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
     deviation_time: float
     deviation_transfer: float
     lambda_samples: tuple
@@ -299,22 +299,41 @@ def _closed_step(step: tuple, m: int, S: np.ndarray, k=1.0) -> tuple:
     )
 
 
-def _margin_norms(mode: str, qm_main, qm_pert, D: np.ndarray, dt: float) -> tuple:
+def _sides(theorem: str, first: int) -> tuple:
+    """(out, inp): the channels past the first `first` that the theorem's
+    closed map reads, None where it reads the state instead: the final
+    state for "across" (an input map), the initial state for "cross" (an
+    output map), neither for the two-sided composition (an io-map)."""
+    extra = slice(first, None)
+    return (None if theorem == "across" else extra, None if theorem == "cross" else extra)
+
+
+def _open_blocks(theorem: str, step: tuple, m: int, n_steps: int) -> tuple:
+    """(F, F12, F21, F22): the grid maps of the open stacked step between its
+    first m channels (the loop) and the theorem's sides."""
+    out, inp = _sides(theorem, m)
+    loop = slice(m)
+    return tuple(_grid_map(step, o, i, n_steps)
+                 for o, i in ((loop, loop), (loop, inp), (out, loop), (out, inp)))
+
+
+def _margin_norms(mode: str, blocks: tuple, D: np.ndarray, dt: float) -> tuple:
     """(norms, level, top) of the gain margin k0 (mode "across") or theta0
-    (mode "cross") in discrete-L2 coordinates. level is the radius of
-    surjectivity or the observability constant of the perturbing map (0.0
-    when it is too narrow), top its largest singular value; each caller
-    gates level against top at its own threshold."""
+    (mode "cross") in discrete-L2 coordinates, read off the open blocks
+    (F, F12, F21, F22) of `_open_blocks`. level is the radius of
+    surjectivity or the observability constant of F22 (0.0 when it is too
+    narrow), top its largest singular value; each caller gates level
+    against top at its own threshold."""
     sqdt = np.sqrt(dt)
-    norms = {"d_norm": _spectral_norm(D), "io_norm": _spectral_norm(qm_main.io_map),
-             "pert_io_norm": _spectral_norm(qm_pert.io_map)}
+    F, F12, F21, F22 = blocks
+    norms = {"d_norm": _spectral_norm(D), "io_norm": _spectral_norm(F)}
     if mode == "across":
-        base = qm_pert.input_map / sqdt
-        norms["control_norm"] = _spectral_norm(qm_main.input_map / sqdt)
+        base = F22 / sqdt
+        norms.update(pert_io_norm=_spectral_norm(F12), control_norm=_spectral_norm(F21 / sqdt))
         wide = base.shape[1] >= base.shape[0]
     else:
-        base = qm_pert.output_map * sqdt
-        norms["obs_norm"] = _spectral_norm(qm_main.output_map * sqdt)
+        base = F22 * sqdt
+        norms.update(pert_io_norm=_spectral_norm(F21), obs_norm=_spectral_norm(F12 * sqdt))
         wide = base.shape[0] >= base.shape[1]
     sv = np.linalg.svd(base, compute_uv=False)
     level = float(sv[-1]) if wide else 0.0
@@ -322,15 +341,14 @@ def _margin_norms(mode: str, qm_main, qm_pert, D: np.ndarray, dt: float) -> tupl
     return norms, level, float(sv[0])
 
 
-def _compose(theorem: str, main: Realization, perts: tuple, g: TimeGrid,
-             close, stack: Realization, left, blocks, probe) -> CompositionReport:
+def _compose(theorem: str, main: Realization, stack: Realization, g: TimeGrid,
+             close) -> CompositionReport:
     """The composition report of identity feedback around the square system
-    main, perturbed through perts. close(A^I, (I - D)^-1) is the published
-    closed loop; left reads the closed one-step quadruple of the stack as a
-    grid map; blocks(maps of main, maps of each of perts) gives (F12, F21,
-    F22); probe(closed loop) gives the open and the closed transfer probe,
-    whose channels past the first m carry the transfer identity."""
-    qm_main = quadruple_maps(main, g)
+    main, closed over the first m channels of stack (main with its
+    companions stacked on). close(A^I, (I - D)^-1) is the published closed
+    loop. Every grid map comes from the one-step quadruple of the stack:
+    the left side from its per-step closure, the right side from its open
+    blocks, each read between the theorem's `_sides`."""
     m, N = main.m, g.n_steps
     s_out = _checked_solve(np.eye(m) - main.D, np.eye(m), _ADMISSIBILITY_RTOL,
                            AdmissibilityError, "I - D")
@@ -340,22 +358,28 @@ def _compose(theorem: str, main: Realization, perts: tuple, g: TimeGrid,
     step = lifted_quadruple(stack, g.dt)
     S = _checked_solve(np.eye(m) - step[3][:m, :m], np.eye(m), _ADMISSIBILITY_RTOL,
                        AdmissibilityError, "I - D_bar")
-    lhs = left(*_closed_step(step, m, S), N)
+    lhs = _grid_map(_closed_step(step, m, S), *_sides(theorem, 0), N)
 
     # discrete side, right: block composition of the open-loop maps, with
     # the grid verdict in its one LU and X gathered from one block column
-    qm_perts = [quadruple_maps(pert, g) for pert in perts]
-    f12, f21, f22 = blocks(qm_main, *qm_perts)
+    blocks = f, f12, f21, f22 = _open_blocks(theorem, step, m, N)
     cols = f12.shape[1] if theorem == "cross" else f12.shape[1] // N
-    x = _checked_solve(np.eye(N * m) - qm_main.io_map, f12[:, :cols], _ADMISSIBILITY_RTOL,
+    x = _checked_solve(np.eye(N * m) - f, f12[:, :cols], _ADMISSIBILITY_RTOL,
                        AdmissibilityError, "I - F on the grid")
     rhs = f21 @ (x if theorem == "cross" else _block_toeplitz(x, N)) + f22
 
     # transfer side: the closed probe against G22 + G21 (I - G11)^-1 G12 of
-    # the open probe, at real frequencies clear of both spectra
+    # the open probe, at real frequencies clear of both spectra; across
+    # reads the state out, (lam - A^I)^-1 B^I, cross feeds it in,
+    # C^I (lam - A^I)^-1
     shift = max(main.spectral_abscissa(), closed.spectral_abscissa()) + 1.0
     lambdas = tuple(base + shift for base in (1.0, 2.0, 5.0, 10.0))
-    open_probe, closed_probe = probe(closed)
+    if theorem == "across":
+        open_probe, closed_probe = _channels(stack, c=_readout(stack)), _readout(closed)
+    elif theorem == "cross":
+        open_probe, closed_probe = _channels(stack, b=_feed(stack)), _feed(closed)
+    else:
+        open_probe, closed_probe = stack, closed
     dev_transfer = 0.0
     for lam in lambdas:
         G = transfer(open_probe, lam)
@@ -366,14 +390,14 @@ def _compose(theorem: str, main: Realization, perts: tuple, g: TimeGrid,
 
     norms = k0 = theta0 = None
     if theorem != "bcross":
-        norms, level, top = _margin_norms(theorem, qm_main, qm_perts[0], main.D, g.dt)
+        norms, level, top = _margin_norms(theorem, blocks, main.D, g.dt)
         if level > 1e-12 * max(top, 1.0):
             if theorem == "across":
                 k0 = k0_bound(norms)
             else:
                 norms = dict(norms, alpha0=level / 2.0)
                 theta0 = theta0_bound(norms)
-    return CompositionReport(theorem, closed, lhs, rhs, _rel_dev(lhs, rhs), dev_transfer,
+    return CompositionReport(theorem, closed, _rel_dev(lhs, rhs), dev_transfer,
                              lambdas, g, k0=k0, theta0=theta0, norms=norms)
 
 
@@ -392,13 +416,8 @@ def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> Composi
     onto, the report carries the guaranteed gain margin k0.
     """
     return _compose(
-        "across", main, (pert,), g,
-        close=lambda a, s: Realization(a, main.B @ s @ pert.D + pert.B, s @ main.C, s @ pert.D),
-        stack=_companion_stack("across", main, pert),
-        left=lambda E, M, C, D, N: _control_columns(E, M, N),
-        blocks=lambda qm, qp: (qp.io_map, qm.input_map, qp.input_map),
-        # the state read out: (lam - A^I)^-1 B^I against the resolvent side
-        probe=lambda cl: (_channels(main, b=pert, c=_readout(main)), _readout(cl)),
+        "across", main, _companion_stack("across", main, pert), g,
+        lambda a, s: Realization(a, main.B @ s @ pert.D + pert.B, s @ main.C, s @ pert.D),
     )
 
 
@@ -417,13 +436,8 @@ def perturb_cross(main: Realization, pert: Realization, g: TimeGrid) -> Composit
     when the perturbing output map is bounded below.
     """
     return _compose(
-        "cross", main, (pert,), g,
-        close=lambda a, s: Realization(a, main.B @ s, pert.D @ s @ main.C + pert.C, pert.D @ s),
-        stack=_companion_stack("cross", main, pert),
-        left=lambda E, M, C, D, N: _observation_rows(C, E, N),
-        blocks=lambda qm, qp: (qm.output_map, qp.io_map, qp.output_map),
-        # the state fed in: C^I (lam - A^I)^-1 against the resolvent side
-        probe=lambda cl: (_channels(main, b=_feed(main), c=pert), _feed(cl)),
+        "cross", main, _companion_stack("cross", main, pert), g,
+        lambda a, s: Realization(a, main.B @ s, pert.D @ s @ main.C + pert.C, pert.D @ s),
     )
 
 
@@ -455,12 +469,7 @@ def perturb_double(
     _require_shared("B", main.B, pert_c.B)
     _require_shared("DB", pert_b.B, pert_bc.B)
     _require_shared("DC", pert_c.C, pert_bc.C)
-    stack = _channels(main, b=pert_b, c=pert_c, bc=pert_bc)
     return _compose(
-        "bcross", main, (pert_b, pert_c, pert_bc), g,
-        close=lambda a, s: Realization(a, pert_b.B, pert_c.C, np.zeros((pert_c.p, pert_b.m))),
-        stack=stack,
-        left=_io_toeplitz,
-        blocks=lambda qm, qb, qc, qbc: (qb.io_map, qc.io_map, qbc.io_map),
-        probe=lambda cl: (stack, cl),
+        "bcross", main, _channels(main, b=pert_b, c=pert_c, bc=pert_bc), g,
+        lambda a, s: Realization(a, pert_b.B, pert_c.C, np.zeros((pert_c.p, pert_b.m))),
     )

@@ -20,16 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, ControllabilityError, GridError, ShapeError
-from .feedback import _closed_step, _companion_stack, _margin_norms, k0_bound, theta0_bound
+from .feedback import (_closed_step, _companion_stack, _margin_norms, _open_blocks, _sides,
+                       k0_bound, theta0_bound)
 from .grids import Signal, TimeGrid
-from .node import (
-    Realization,
-    _checked_solve,
-    _control_columns,
-    _observation_rows,
-    lifted_quadruple,
-    quadruple_maps,
-)
+from .node import Realization, _checked_solve, _grid_map, lifted_quadruple, quadruple_maps
 
 _EXACTNESS_RTOL = 1e-8
 
@@ -215,11 +209,11 @@ def robustness_sweep(
     observation operator (mode "cross": pert shares A and B, contributes
     DC and P).
 
-    All sweep points are closed at once in the lifted one-step world, on
-    the one-step matrices of main with pert's channel stacked on (batched
-    over the gains), and each takes an SVD. A gain at which I - k D_bar is
-    numerically singular (the gate of `_checked_solve` at rtol 1e-12) gets
-    sigma 0.0.
+    One lifted step of main with pert's channel stacked on gives both the
+    margin norms (its open blocks) and every sweep point: all are closed at
+    once in the lifted one-step world (batched over the gains), and each
+    takes an SVD. A gain at which I - k D_bar is numerically singular (the
+    gate of `_checked_solve` at rtol 1e-12) gets sigma 0.0.
 
     The default grid is 32 logarithmic points in (0, 2*k0] (across) or
     (0, 2*theta0] (cross). The bound column is the guaranteed Weyl lower
@@ -235,11 +229,9 @@ def robustness_sweep(
         raise ValueError(f"mode must be 'across' or 'cross', got {mode!r}")
     stack = _companion_stack(mode, main, pert)
     sub = _prefix_grid(g, t0)
-    n_steps = sub.n_steps
-    qm_main = quadruple_maps(main, sub)
-    qm_pert = quadruple_maps(pert, sub)
-    sqdt = np.sqrt(sub.dt)
-    norms, level, top = _margin_norms(mode, qm_main, qm_pert, main.D, sub.dt)
+    n_steps, m = sub.n_steps, main.m
+    step = lifted_quadruple(stack, sub.dt)
+    norms, level, top = _margin_norms(mode, _open_blocks(mode, step, m, n_steps), main.D, sub.dt)
     if level <= _EXACTNESS_RTOL * max(top, 1.0):
         side = "input map is not onto" if mode == "across" else "output map is not bounded below"
         raise ControllabilityError(f"base {side} at t0")
@@ -259,8 +251,6 @@ def robustness_sweep(
         k_grid = np.logspace(np.log10(bound_gain) - 3, np.log10(2.0 * bound_gain), 32)
     k_grid = np.asarray(k_grid, dtype=float)
 
-    m = main.m
-    step = lifted_quadruple(stack, sub.dt)
     live, S = np.ones(k_grid.shape, dtype=bool), []
     for j, k in enumerate(k_grid):
         try:
@@ -268,11 +258,9 @@ def robustness_sweep(
                                     AdmissibilityError, f"I - {k} D_bar"))
         except AdmissibilityError:
             live[j] = False
-    E_cl, M_cl, C_cl, _ = _closed_step(step, m, np.reshape(S, (-1, m, m)), k_grid[live])
-    if mode == "across":
-        op = _control_columns(E_cl, M_cl, n_steps) / sqdt
-    else:
-        op = _observation_rows(C_cl, E_cl, n_steps) * sqdt
+    closed = _closed_step(step, m, np.reshape(S, (-1, m, m)), k_grid[live])
+    op, sqdt = _grid_map(closed, *_sides(mode, 0), n_steps), np.sqrt(sub.dt)
+    op = op / sqdt if mode == "across" else op * sqdt
     sig = np.zeros_like(k_grid)
     sig[live] = np.linalg.svd(op, compute_uv=False)[:, -1]
 

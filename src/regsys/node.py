@@ -259,24 +259,6 @@ class QuadrupleMaps:
         return samples
 
 
-def _control_columns(E: np.ndarray, M: np.ndarray, n_steps: int) -> np.ndarray:
-    """Input map [E^(N-1) M, ..., E M, M] by forward accumulation; leading
-    (batch) axes of E and M are carried through."""
-    blocks = [M]
-    for _ in range(n_steps - 1):
-        blocks.append(E @ blocks[-1])
-    return np.concatenate(blocks[::-1], axis=-1)
-
-
-def _observation_rows(C: np.ndarray, E: np.ndarray, n_steps: int) -> np.ndarray:
-    """Output map [C; C E; ...; C E^(N-1)] by forward accumulation; leading
-    (batch) axes of C and E are carried through."""
-    blocks = [C]
-    for _ in range(n_steps - 1):
-        blocks.append(blocks[-1] @ E)
-    return np.concatenate(blocks, axis=-2)
-
-
 def _block_toeplitz(col: np.ndarray, n_steps: int) -> np.ndarray:
     """Block lower-triangular Toeplitz matrix with first block column col.
     Block row i is the columns (N-1-i) m : (2N-1-i) m of the p x (2N-1) m
@@ -290,10 +272,27 @@ def _block_toeplitz(col: np.ndarray, n_steps: int) -> np.ndarray:
     return np.ascontiguousarray(windows[:, ::-1].transpose(1, 0, 2).reshape(N * p, N * m))
 
 
-def _io_toeplitz(E: np.ndarray, M: np.ndarray, C: np.ndarray, D: np.ndarray, n_steps: int) -> np.ndarray:
-    """Input-output map: block lower-triangular Toeplitz with D on the
-    diagonal and C E^(j-1) M on the j-th block subdiagonal."""
-    blocks, acc = [D], C
+def _grid_map(step: tuple, out, inp, n_steps: int) -> np.ndarray:
+    """Grid map of the one-step quadruple step = (E, M, C_bar, D_bar) from
+    the input channels inp to the output channels out, both slices; None
+    stands for the state. out=None gives the input map [E^(N-1) M, ..., E M,
+    M] and inp=None the output map [C; C E; ...; C E^(N-1)], both by forward
+    accumulation with leading (batch) axes of the step carried through. Two
+    slices give the io-map: block lower-triangular Toeplitz with D_bar on the
+    diagonal and C_bar E^(j-1) M on the j-th block subdiagonal."""
+    E, M, C, D = step
+    if out is None:
+        blocks = [M[..., inp]]
+        for _ in range(n_steps - 1):
+            blocks.append(E @ blocks[-1])
+        return np.concatenate(blocks[::-1], axis=-1)
+    C = C[..., out, :]
+    if inp is None:
+        blocks = [C]
+        for _ in range(n_steps - 1):
+            blocks.append(blocks[-1] @ E)
+        return np.concatenate(blocks, axis=-2)
+    M, blocks, acc = M[:, inp], [D[out, inp]], C
     for _ in range(n_steps - 1):
         blocks.append(acc @ M)
         acc = acc @ E
@@ -302,15 +301,9 @@ def _io_toeplitz(E: np.ndarray, M: np.ndarray, C: np.ndarray, D: np.ndarray, n_s
 
 def quadruple_maps(r: Realization, g: TimeGrid) -> QuadrupleMaps:
     """Assemble the exact discrete quadruple on the grid."""
-    N = g.n_steps
-    E, M, C_bar, D_bar = lifted_quadruple(r, g.dt)
-    return QuadrupleMaps(
-        g,
-        E,
-        _control_columns(E, M, N),
-        _observation_rows(C_bar, E, N),
-        _io_toeplitz(E, M, C_bar, D_bar, N),
-    )
+    step, every = lifted_quadruple(r, g.dt), slice(None)
+    return QuadrupleMaps(g, step[0], *(_grid_map(step, out, inp, g.n_steps)
+                                       for out, inp in ((None, every), (every, None), (every, every))))
 
 
 def _check_input_signal(r: Realization, g: TimeGrid, u: Signal) -> np.ndarray:

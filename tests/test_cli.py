@@ -82,15 +82,29 @@ class TestRun:
             {"tolerances": 3},
             {"tolerances": {"x": -1.0}},
             {"grid": 5},
+            {"grid": {"nsteps": 64}},
+            {"grid": {"n_steps": 40.9}},
+            {"grid": {"n_steps": "abc"}},
+            {"grid": {"t_end": 0}},
         ],
     )
-    def test_invalid_values_refused(self, patch):
+    def test_invalid_values_refused(self, tmp_path, patch):
         from regsys.cli import UsageError
 
         cfg = {"kind": "beam-bounds"}
         cfg.update(patch)
         with pytest.raises(UsageError):
             run(cfg, profile=QUICK)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path)])
+        assert exc.value.code == 2
+
+    def test_valid_grid_echoed_as_given(self):
+        grid = {"t_end": 1.5, "n_steps": 8}
+        report = run({"kind": "compose-across", "trials": 1, "grid": grid}, profile=QUICK)
+        assert report["config"]["grid"] == grid
 
 
 # kind -> (full, quick) defaults, in suite order
@@ -152,6 +166,10 @@ class TestSuite:
 
         with pytest.raises(UsageError):
             suite("medium")
+        # a single run checks its profile too, rather than taking a
+        # misspelt one as full
+        with pytest.raises(UsageError):
+            run({"kind": "radius"}, profile="quik")
 
 
 class TestMain:

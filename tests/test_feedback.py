@@ -20,6 +20,7 @@ from regsys import (
     cross_instance,
     double_instance,
     k0_bound,
+    lifted_quadruple,
     perturb_across,
     perturb_cross,
     perturb_double,
@@ -315,33 +316,78 @@ _THEOREMS = {
 
 
 class TestCompositionSkeleton:
-    """The three theorems share one skeleton: the main system's grid maps
-    are built once, the stacked channels are discretized once, and the
+    """The three theorems share one skeleton: the stacked channels are
+    discretized once, every grid map is read off that one step, and the
     transfer side is two `node.transfer` calls per sampled frequency."""
 
     @pytest.mark.parametrize("theorem", sorted(_THEOREMS))
-    def test_one_main_map_one_step_eight_transfers(self, monkeypatch, theorem):
+    def test_one_step_no_grid_maps_eight_transfers(self, monkeypatch, theorem):
         instance, compose = _THEOREMS[theorem]
         systems = instance(np.random.default_rng(40), GRID)
-        main = systems[0]
-        calls = {"quadruple_maps": [], "lifted_quadruple": [], "transfer": []}
+        calls = {"quadruple_maps": 0, "lifted_quadruple": 0, "transfer": 0}
 
         def counting(name):
             real = getattr(regsys.feedback, name)
 
-            def wrapped(r, *args, **kwargs):
-                calls[name].append(r)
-                return real(r, *args, **kwargs)
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
 
             return wrapped
 
         for name in calls:
             monkeypatch.setattr(regsys.feedback, name, counting(name))
         rep = compose(*systems, GRID)
-        assert sum(r is main for r in calls["quadruple_maps"]) == 1
-        assert len(calls["quadruple_maps"]) == len(systems)
-        assert len(calls["lifted_quadruple"]) == 1
-        assert len(calls["transfer"]) == 2 * len(rep.lambda_samples) == 8
+        assert calls["quadruple_maps"] == 0
+        assert calls["lifted_quadruple"] == 1
+        assert calls["transfer"] == 2 * len(rep.lambda_samples) == 8
+
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 64),
+           theorem=st.sampled_from(sorted(_THEOREMS)))
+    def test_stacked_blocks_match_separate_maps(self, seed, N, theorem):
+        # F, F12, F21, F22 read off the stack's one step are the grid maps
+        # that main and each companion give on their own
+        g = TimeGrid(1.5, N)
+        instance, _ = _THEOREMS[theorem]
+        systems = instance(np.random.default_rng(seed), g)
+        main, qm = systems[0], [quadruple_maps(r, g) for r in systems]
+        if theorem == "double":
+            stack = regsys.feedback._channels(main, b=systems[1], c=systems[2], bc=systems[3])
+            expect = tuple(q.io_map for q in qm)
+        else:
+            stack = regsys.feedback._companion_stack(theorem, *systems)
+            expect = ((qm[0].io_map, qm[1].io_map, qm[0].input_map, qm[1].input_map)
+                      if theorem == "across" else
+                      (qm[0].io_map, qm[0].output_map, qm[1].io_map, qm[1].output_map))
+        step = lifted_quadruple(stack, g.dt)
+        blocks = regsys.feedback._open_blocks(theorem, step, main.m, N)
+        for got, ref in zip(blocks, expect):
+            assert got.shape == ref.shape
+            assert _rel_dev(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("theorem", sorted(_THEOREMS))
+    def test_transfer_side_catches_a_wrong_stack(self, monkeypatch, theorem):
+        # both discrete sides read the one stacked step, so a companion
+        # channel mis-stacked by 1e-6 relative leaves the time identity at
+        # rounding; the transfer side, built on the published closed loop,
+        # shows it
+        instance, compose = _THEOREMS[theorem]
+        systems = instance(np.random.default_rng(42), GRID)
+        m = systems[0].m
+        real = regsys.feedback._compose
+
+        def skewed(theorem, main, stack, g, close):
+            B, C = stack.B.copy(), stack.C.copy()
+            if theorem == "cross":
+                C[m:] *= 1.0 + 1e-6
+            else:
+                B[:, m:] *= 1.0 + 1e-6
+            return real(theorem, main, Realization(stack.A, B, C, stack.D), g, close)
+
+        monkeypatch.setattr(regsys.feedback, "_compose", skewed)
+        rep = compose(*systems, GRID)
+        assert rep.deviation_time <= 1e-12
+        assert rep.deviation_transfer > 1e-8
 
     def test_no_hand_rolled_resolvent_solve(self):
         # every transfer value in feedback.py comes from node.transfer and
@@ -366,12 +412,12 @@ class TestCompositionSkeleton:
         good = compose(*systems, GRID).deviation_transfer
         real = regsys.feedback._compose
 
-        def skewed(theorem, main, perts, g, close, **pieces):
+        def skewed(theorem, main, stack, g, close):
             def off(a, s):
                 cl = close(a, s)
                 return Realization(cl.A * (1.0 + 1e-6), cl.B, cl.C, cl.D)
 
-            return real(theorem, main, perts, g, off, **pieces)
+            return real(theorem, main, stack, g, off)
 
         monkeypatch.setattr(regsys.feedback, "_compose", skewed)
         assert good <= 1e-10 < 1e-8 < compose(*systems, GRID).deviation_transfer

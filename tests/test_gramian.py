@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regsys.gramian
 from regsys import (
     ControllabilityError,
     GridError,
@@ -274,6 +275,27 @@ class TestRobustnessSweep:
         assert len(rows) == 1 + len(rep.k_values)
         first = rows[1].split(",")
         assert float(first[0]) == rep.k_values[0]
+
+    @pytest.mark.parametrize("mode", ["across", "cross"])
+    def test_one_step_no_grid_maps(self, monkeypatch, mode):
+        # the margin norms and every sweep point read the stack's one step
+        main, pert = (across_instance if mode == "across" else cross_instance)(
+            np.random.default_rng(16), GRID)
+        calls = {"quadruple_maps": 0, "lifted_quadruple": 0}
+
+        def counting(name):
+            real = getattr(regsys.gramian, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(regsys.gramian, name, counting(name))
+        robustness_sweep(main, pert, GRID, GRID.t_end, mode)
+        assert calls == {"quadruple_maps": 0, "lifted_quadruple": 1}
 
     @pytest.mark.parametrize("mode", ["across", "cross"])
     def test_batched_sweep_matches_per_point_loop(self, mode):

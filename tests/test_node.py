@@ -35,7 +35,7 @@ from regsys import (
     semigroup_step,
     transfer,
 )
-from regsys.node import _io_toeplitz, _spectral_norm
+from regsys.node import _grid_map, _spectral_norm
 
 
 def scalar_system(a=-1.0, b=1.0, c=2.0, d=0.0):
@@ -301,10 +301,11 @@ class TestGridMaps:
         for i in range(N):
             for k in range(i + 1):
                 ref[i * p : (i + 1) * p, k * m : (k + 1) * m] = blocks[i - k]
-        fio = _io_toeplitz(E, M, C, D, N)
+        every = slice(None)
+        fio = _grid_map((E, M, C, D), every, every, N)
         assert fio.flags.c_contiguous
         np.testing.assert_array_equal(fio, ref)
-        np.testing.assert_array_equal(_io_toeplitz(E, M, C, D, 1), D)
+        np.testing.assert_array_equal(_grid_map((E, M, C, D), every, every, 1), D)
 
     @given(
         n=st.integers(min_value=1, max_value=5),
