@@ -380,15 +380,16 @@ def _normalize_config(raw: dict, profile: str = "full") -> dict:
     cfg = dict(quick if profile == "quick" else full)
     cfg["kind"] = kind
     cfg["seed"] = raw.get("seed", 0)
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    # type(), not isinstance: bool subclasses int, and JSON true/false are no numbers
+    if type(cfg["seed"]) is not int or cfg["seed"] < 0:
         raise UsageError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     grid = raw.get("grid", {})
     if not isinstance(grid, dict) or not set(grid) <= {"t_end", "n_steps"}:
         raise UsageError(f"grid must be an object with keys t_end and n_steps, got {grid!r}")
     for key, value in (*raw.items(), *grid.items()):
-        if key in ("trials", "N", "wave_cells", "n_steps") and (not isinstance(value, int) or value < 1):
+        if key in ("trials", "N", "wave_cells", "n_steps") and (type(value) is not int or value < 1):
             raise UsageError(f"{key} must be a positive integer, got {value!r}")
-        if key in ("T", "delta", "gain", "t_end") and (not isinstance(value, (int, float)) or value <= 0):
+        if key in ("T", "delta", "gain", "t_end") and (type(value) not in (int, float) or value <= 0):
             raise UsageError(f"{key} must be positive, got {value!r}")
     cfg.update((key, raw[key]) for key in ("trials", "N", "wave_cells", "grid") if key in raw)
     cfg.update((key, float(raw[key])) for key in ("T", "delta", "gain") if key in raw)
@@ -396,7 +397,7 @@ def _normalize_config(raw: dict, profile: str = "full") -> dict:
     if not isinstance(tolerances, dict):
         raise UsageError("tolerances must be an object of name: positive number")
     for name, value in tolerances.items():
-        if not isinstance(value, (int, float)) or value < 0:
+        if type(value) not in (int, float) or value < 0:
             raise UsageError(f"tolerance {name!r} must be nonnegative, got {value!r}")
     cfg["tolerances"] = dict(tolerances)
     return cfg

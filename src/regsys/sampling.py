@@ -13,7 +13,7 @@ import numpy as np
 
 from .gramian import control_operator, observability_constant, surjectivity_radius
 from .grids import TimeGrid
-from .node import Realization, _spectral_norm, quadruple_maps
+from .node import Realization, _grid_map, _spectral_norm, lifted_quadruple
 
 
 def _stable_a(rng: np.random.Generator, n: int, abscissa: float) -> np.ndarray:
@@ -46,7 +46,7 @@ def random_realization(
     if io_scale is None:
         return r
     g = grid if grid is not None else TimeGrid(1.5, 48)
-    norm = _spectral_norm(quadruple_maps(r, g).io_map)
+    norm = _spectral_norm(_grid_map(lifted_quadruple(r, g.dt), slice(None), slice(None), g.n_steps))
     if norm == 0.0:
         return r
     s = io_scale / norm

@@ -89,10 +89,26 @@ class TestRun:
         ],
     )
     def test_invalid_values_refused(self, tmp_path, patch):
+        self._assert_refused(tmp_path, {"kind": "beam-bounds", **patch})
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "field", ["seed", "trials", "N", "wave_cells", "T", "delta", "gain", "n_steps", "t_end", "tolerance"]
+    )
+    def test_json_booleans_refused(self, tmp_path, field, flag):
+        # bool subclasses int, but JSON true and false are no numbers
+        if field in ("n_steps", "t_end"):
+            patch = {"grid": {field: flag}}
+        elif field == "tolerance":
+            patch = {"tolerances": {"energy_drift": flag}}
+        else:
+            patch = {field: flag}
+        self._assert_refused(tmp_path, {"kind": "beam-bounds", **patch})
+
+    @staticmethod
+    def _assert_refused(tmp_path, cfg):
         from regsys.cli import UsageError
 
-        cfg = {"kind": "beam-bounds"}
-        cfg.update(patch)
         with pytest.raises(UsageError):
             run(cfg, profile=QUICK)
         path = tmp_path / "config.json"

@@ -453,11 +453,17 @@ def _draw_matrix(rng, rows, cols, kind, complex_):
         return np.zeros((rows, cols), dtype=complex if complex_ else float)
     if kind == "rank-one":
         return np.outer(gauss(rows), gauss(cols))
-    if kind == "graded":
+    if kind in ("graded", "pair-1e-10", "pair-1e-6"):
+        # prescribed singular values: graded over 12 decades, or a top pair
+        # split by the given relative gap above a spread-out rest
         k = min(rows, cols)
         u, _ = np.linalg.qr(gauss(rows, k))
         v, _ = np.linalg.qr(gauss(cols, k))
-        return (u * np.logspace(0, -12, k)) @ v.conj().T
+        if kind == "graded":
+            sv = np.logspace(0, -12, k)
+        else:
+            sv = np.r_[1.0, 1.0 - float(kind[5:]), rng.uniform(0.0, 0.5, k - 2)]
+        return (u * sv) @ v.conj().T
     return gauss(rows, cols)
 
 
@@ -479,6 +485,54 @@ class TestSpectralNorm:
             return
         want = np.linalg.norm(a, 2)
         assert abs(got - want) <= 1e-13 * want, f"relative deviation {abs(got - want) / want:.2e}"
+
+    @given(
+        k=st.integers(min_value=256, max_value=420),
+        extra=st.integers(min_value=0, max_value=164),
+        wide=st.booleans(),
+        kind=st.sampled_from(["gaussian", "rank-one", "graded", "zero", "pair-1e-10", "pair-1e-6"]),
+        complex_=st.booleans(),
+        exponent=st.sampled_from([-600, 0, 600]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=30)
+    def test_matches_svd_norm_at_lanczos_sizes(self, k, extra, wide, kind, complex_, exponent, seed):
+        # from Gram size 256 on the Lanczos route runs first, and the dense
+        # eigh takes over when it does not certify; either way the SVD norm
+        rows, cols = (k, min(k + extra, 420)) if wide else (min(k + extra, 420), k)
+        a = _draw_matrix(np.random.default_rng(seed), rows, cols, kind, complex_) * 2.0**exponent
+        got = _spectral_norm(a)
+        if kind == "zero":
+            assert got == 0.0
+            return
+        want = np.linalg.norm(a, 2)
+        assert abs(got - want) <= 1e-13 * want, f"relative deviation {abs(got - want) / want:.2e}"
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_lanczos_certifies_a_separated_top_and_defers_a_tight_pair(self, monkeypatch, pair):
+        # a separated top eigenvalue is certified without the dense eigh; a
+        # pair split by 1e-10 above a crowded rest is not certified within
+        # the step budget, and the dense eigh takes it
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+        v, _ = np.linalg.qr(rng.standard_normal((320, 300)))
+        sv = np.r_[1.0, 1.0 - 1e-10, np.linspace(0.99, 0.0, 298)] if pair else np.r_[1.0, np.linspace(0.5, 0.0, 299)]
+        a = (u * sv) @ v.T
+        eigh, sizes = scipy.linalg.eigh, []
+
+        def spy(mat, *args, **kwargs):
+            sizes.append(np.shape(mat)[0])
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        got = _spectral_norm(a)
+        assert sizes == ([300] if pair else [])
+        assert abs(got - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["gaussian", "graded", "pair-1e-10"])
+    def test_bit_reproducible(self, kind):
+        a = _draw_matrix(np.random.default_rng(1), 300, 340, kind, False)
+        assert _spectral_norm(a) == _spectral_norm(a)
 
     def test_empty_matrix_is_zero(self):
         assert _spectral_norm(np.zeros((0, 3))) == 0.0
@@ -514,6 +568,26 @@ class TestSpectralNorm:
         assert report.deviation_time <= 1e-12
         assert large_svd == []
         assert large_solve == ["I - F on the grid"]
+
+    def test_no_dense_eigh_at_lanczos_sizes_on_long_grids(self, monkeypatch):
+        # on the 256-step grid every composition norm and the io-map norm
+        # that random_realization scales by are certified by Lanczos: no
+        # eigh of a matrix of size 256 or more
+        g = TimeGrid(1.5, 256)
+        eigh, large = scipy.linalg.eigh, []
+
+        def spy(mat, *args, **kwargs):
+            if np.shape(mat)[0] >= 256:
+                large.append(np.shape(mat))
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        for instance, compose in ((across_instance, perturb_across), (cross_instance, perturb_cross),
+                                  (double_instance, perturb_double)):
+            report = compose(*instance(np.random.default_rng(3), g), g)
+            assert report.deviation_time <= 1e-12
+        random_realization(np.random.default_rng(3), 4, 2, 2, grid=g)
+        assert large == []
 
     def test_no_two_norm_outside_the_kernel(self):
         # every operator 2-norm in the package goes through _spectral_norm:
