@@ -4,8 +4,9 @@ Every experiment kind checks one slice of the library against its stated
 tolerances and emits a report whose assertions each carry the tolerance,
 the measured value, and the verdict. Randomness is seeded through numpy's
 PCG64 generator (named in the report), so identical config and seed give
-byte-identical JSON up to the wall_time_s field. The exit status is
-nonzero exactly when an assertion fails.
+byte-identical JSON up to the wall_time_s field. The exit status is 1
+when an assertion fails and 2 when the config or the library refuses the
+experiment.
 """
 
 from __future__ import annotations
@@ -69,20 +70,6 @@ class UsageError(RegsysError):
     """Configuration or invocation problem; nothing was written."""
 
 
-def _le(name: str, tolerance: float, measured: float) -> dict:
-    return {"name": name, "direction": "<=", "tolerance": float(tolerance),
-            "measured": float(measured), "passed": bool(measured <= tolerance)}
-
-
-def _ge(name: str, tolerance: float, measured: float) -> dict:
-    return {"name": name, "direction": ">=", "tolerance": float(tolerance),
-            "measured": float(measured), "passed": bool(measured >= tolerance)}
-
-
-def _tol(cfg: dict, name: str, default: float) -> float:
-    return float(cfg.get("tolerances", {}).get(name, default))
-
-
 def _grid(cfg: dict, t_end: float = 1.5, n_steps: int = 32) -> TimeGrid:
     spec = cfg.get("grid") or {}
     return TimeGrid(float(spec.get("t_end", t_end)), int(spec.get("n_steps", n_steps)))
@@ -101,9 +88,8 @@ def _run_quadruple_identities(cfg: dict):
         dev = composition_deviations(r, g, split)
         for key in worst:
             worst[key] = max(worst[key], dev[key])
-    overall = max(worst.values())
-    assertions = [_le("composition_identities", _tol(cfg, "composition_identities", 1e-10), overall)]
-    return assertions, {"worst_by_identity": worst, "trials": cfg["trials"]}, {}
+    return ({"composition_identities": max(worst.values())},
+            {"worst_by_identity": worst, "trials": cfg["trials"]}, {})
 
 
 # mode -> (instance sampler, composition, attribute of its gain margin)
@@ -127,16 +113,12 @@ def _run_compose(cfg: dict, mode: str):
             gains.append(getattr(rep, margin))
         worst_time = max(worst_time, rep.deviation_time)
         worst_transfer = max(worst_transfer, rep.deviation_transfer)
-    assertions = [
-        _le("transfer_identity", _tol(cfg, "transfer_identity", 1e-10), worst_transfer),
-        _le("time_identity", _tol(cfg, "time_identity", 1e-9), worst_time),
-    ]
     payload = {"trials": cfg["trials"], "worst_time": worst_time,
                "worst_transfer": worst_transfer}
     if gains:
         payload["bound_gain_min"] = min(gains)
         payload["bound_gain_max"] = max(gains)
-    return assertions, payload, {}
+    return {"transfer_identity": worst_transfer, "time_identity": worst_time}, payload, {}
 
 
 def _run_radius(cfg: dict):
@@ -163,12 +145,9 @@ def _run_radius(cfg: dict):
         sig_killed = float(np.linalg.svd(mat + kill, compute_uv=False)[-1])
         if sig_killed > 1e-8 * max(sig_max, 1.0):
             kill_failures += 1
-    assertions = [
-        _le("safe_perturbation_failures", _tol(cfg, "safe_perturbation_failures", 0), safe_failures),
-        _le("rank_one_kill_failures", _tol(cfg, "rank_one_kill_failures", 0), kill_failures),
-    ]
     payload = {"trials": cfg["trials"], "min_safe_margin": float(min_safe_margin)}
-    return assertions, payload, {}
+    return ({"safe_perturbation_failures": safe_failures, "rank_one_kill_failures": kill_failures},
+            payload, {})
 
 
 def _run_gain_sweep(cfg: dict, mode: str):
@@ -186,97 +165,69 @@ def _run_gain_sweep(cfg: dict, mode: str):
         failures_below_bound += int(np.sum(~rep.within_bound[below]))
         if rep.margin is not None:
             min_margin = min(min_margin, rep.margin)
-    assertions = [
-        _le("sweep_failures_below_bound", _tol(cfg, "sweep_failures_below_bound", 0),
-            failures_below_bound),
-        _ge("breakdown_margin", _tol(cfg, "breakdown_margin", 1.0), min_margin),
-    ]
     payload = {"trials": cfg["trials"], "bound_kind": margin}
     csvs = {}
     if first_report is not None:
         payload["first_instance"] = first_report.to_json_dict()
         csvs[f"{margin}-sweep.csv"] = first_report.to_csv
-    return assertions, payload, csvs
+    return ({"sweep_failures_below_bound": failures_below_bound, "breakdown_margin": min_margin},
+            payload, csvs)
 
 
 def _run_boundary_feedin(cfg: dict):
     rng = np.random.default_rng(cfg["seed"])
-    assertions = []
-    payload = {}
-
     wt = wave_triple(cfg["wave_cells"])
     rep = feed_in_full(wt, lambda_sweep=default_shift_sweep(wt, 18))
-    assertions += [
-        _le("wave_composite_control", _tol(cfg, "wave_composite_control", 1e-6), rep.deviation_b),
-        _le("wave_composite_observation", _tol(cfg, "wave_composite_observation", 1e-6),
-            rep.deviation_c),
-        _le("wave_composite_feedthrough", _tol(cfg, "wave_composite_feedthrough", 1e-6),
-            rep.deviation_d),
-    ]
-    payload["wave_feedthroughs"] = {k: np.asarray(v).tolist()
-                                    for k, v in rep.feedthroughs.items()}
+    measured = {"wave_composite_control": rep.deviation_b,
+                "wave_composite_observation": rep.deviation_c,
+                "wave_composite_feedthrough": rep.deviation_d}
+    payload = {"wave_feedthroughs": {k: np.asarray(v).tolist() for k, v in rep.feedthroughs.items()}}
 
     N = cfg["N"]
     model = beam_model(N, "shear-input")
     bt = model.boundary_triple()
     a_ref, b_ref = model.first_order_matrices()
     rg = restrict_generator(bt)
-    assertions.append(_le("beam_restriction", _tol(cfg, "beam_restriction", 1e-12),
-                          _rel_dev(rg.a, a_ref)))
+    measured["beam_restriction"] = _rel_dev(rg.a, a_ref)
 
     lam0 = 3.0
     b1 = control_operator_from_triple(bt, lam0)
     b2 = control_operator_from_triple(bt, 4.0 * lam0)
-    assertions.append(_le("beam_control_operator", _tol(cfg, "beam_control_operator", 1e-6),
-                          _rel_dev(b1, b_ref)))
-    assertions.append(_le("beam_lambda_independence",
-                          _tol(cfg, "beam_lambda_independence", 1e-8),
-                          float(np.max(np.abs(b1 - b2)) / max(np.max(np.abs(b_ref)), 1.0))))
+    measured["beam_control_operator"] = _rel_dev(b1, b_ref)
+    measured["beam_lambda_independence"] = np.max(np.abs(b1 - b2)) / max(np.max(np.abs(b_ref)), 1.0)
 
     g_sim = TimeGrid(1.0, 1000)
     u = _smooth_input(g_sim, rng, 6)
     r_triple = Realization(rg.a, b1, bt.K @ rg.basis, np.zeros((1, 1)))
     y_triple = io_map(r_triple, g_sim, u)
     y_modal = _forced_tip_slopes(model, g_sim, u.values[:, 0].real[None, :])
-    assertions.append(_le("beam_trajectory_agreement",
-                          _tol(cfg, "beam_trajectory_agreement", 1e-6),
-                          _rel_dev(y_triple.values[:, 0], y_modal[0])))
+    measured["beam_trajectory_agreement"] = _rel_dev(y_triple.values[:, 0], y_modal[0])
 
     ests = _feedthrough_estimates(bt, default_shift_sweep(bt, 20), [("primary", "W"), ("primary", "K")])
     for label, est in (("velocity", ests["primary", "W"]), ("slope", ests["primary", "K"])):
         converged = est.converged and est.value is not None
-        final_res = float(est.residuals[-1]) if converged else np.inf
         value = float(np.max(np.abs(est.value))) if converged else np.inf
-        assertions.append(_le(f"beam_{label}_feedthrough_residual",
-                              _tol(cfg, f"beam_{label}_feedthrough_residual", 1e-4), final_res))
-        assertions.append(_le(f"beam_{label}_feedthrough_value",
-                              _tol(cfg, f"beam_{label}_feedthrough_value", 1e-4), value))
-        payload[f"beam_{label}_feedthrough"] = None if not converged else value
+        measured[f"beam_{label}_feedthrough_residual"] = est.residuals[-1] if converged else np.inf
+        measured[f"beam_{label}_feedthrough_value"] = value
+        payload[f"beam_{label}_feedthrough"] = value if converged else None
 
     gain = cfg["gain"]
     a_fb, _ = beam_model(N, "shear-feedback", gain).first_order_matrices()
     rg_cl = close_boundary_loop(bt, gain, observation="W")
-    assertions.append(_le("beam_closed_loop", _tol(cfg, "beam_closed_loop", 1e-10),
-                          _rel_dev(rg_cl.a, a_fb)))
+    measured["beam_closed_loop"] = _rel_dev(rg_cl.a, a_fb)
     ev_triple = np.linalg.eigvals(rg_cl.a)
     roots = _closed_loop_roots(model, gain, ev_triple)
-    eig_dev = (np.inf if roots is None
-               else float(np.max(np.abs(ev_triple - roots) / (1.0 + np.abs(roots)))))
-    assertions.append(_le("beam_closed_loop_eigenvalues",
-                          _tol(cfg, "beam_closed_loop_eigenvalues", 1e-6), eig_dev))
+    measured["beam_closed_loop_eigenvalues"] = (
+        np.inf if roots is None else np.max(np.abs(ev_triple - roots) / (1.0 + np.abs(roots))))
     payload["N"] = N
     payload["gain"] = gain
-    return assertions, payload, {}
+    return measured, payload, {}
 
 
 def _run_beam_transfer(cfg: dict):
     N = cfg["N"]
     svals = np.logspace(np.log10(0.1), 4.0, 60)
     prods = np.array([transfer_bound_products(s) for s in svals])
-    assertions = [
-        _le("scaled_H_bound", _tol(cfg, "scaled_H_bound", 5.0), float(np.max(prods[:, 0]))),
-        _le("scaled_H1_bound", _tol(cfg, "scaled_H1_bound", 2.0), float(np.max(prods[:, 1]))),
-    ]
     r = beam_model(N, "shear-input").realization()
     table = []
     worst_rel = 0.0
@@ -287,11 +238,11 @@ def _run_beam_transfer(cfg: dict):
         worst_rel = max(worst_rel, rel)
         table.append({"s": s, "abs_H": abs(exact), "bound_5_over_s": 5.0 / s,
                       "discrete": disc, "relative_error": rel})
-    assertions.append(_le("discrete_transfer_match",
-                          _tol(cfg, "discrete_transfer_match", 0.02), worst_rel))
+    measured = {"scaled_H_bound": np.max(prods[:, 0]), "scaled_H1_bound": np.max(prods[:, 1]),
+                "discrete_transfer_match": worst_rel}
     payload = {"N": N, "table": table,
                "H1_static": beam_transfer_H1(1e-8), "H_static": beam_transfer_H(1e-8)}
-    return assertions, payload, {}
+    return measured, payload, {}
 
 
 def _run_beam_bounds(cfg: dict):
@@ -321,46 +272,65 @@ def _run_beam_bounds(cfg: dict):
     ratios = [residuals[key][i + 1] / residuals[key][i]
               for key in residuals for i in range(len(levels) - 1)]
 
-    assertions = [
-        _le("admissibility_ratio", _tol(cfg, "admissibility_ratio", 1.05), adm["worst_ratio"]),
-        _le("wellposedness_ratio", _tol(cfg, "wellposedness_ratio", 1.05), wp["worst_ratio"]),
-        _le("wellposedness_constant_error", _tol(cfg, "wellposedness_constant_error", 1e-12),
-            abs(wellposedness_constant(1.0, 0.1) - 10.1)),
-        _le("energy_drift", _tol(cfg, "energy_drift", 1e-8), worst_drift),
-        _le("multiplier_refinement_ratio", _tol(cfg, "multiplier_refinement_ratio", 0.6),
-            max(ratios)),
-    ]
+    measured = {"admissibility_ratio": adm["worst_ratio"], "wellposedness_ratio": wp["worst_ratio"],
+                "wellposedness_constant_error": abs(wellposedness_constant(1.0, 0.1) - 10.1),
+                "energy_drift": worst_drift, "multiplier_refinement_ratio": max(ratios)}
     payload = {"admissibility": adm, "wellposedness": wp,
                "multiplier_residuals": residuals, "refinement_levels": levels,
                "worst_energy_drift": worst_drift}
     csvs = {"beam-bounds.csv": first_trace.to_csv} if first_trace is not None else {}
-    return assertions, payload, csvs
+    return measured, payload, csvs
 
 
 def _run_beam_observability(cfg: dict):
     rep = verify_observability(cfg["N"], cfg["T"], cfg["trials"], seed=cfg["seed"])
-    assertions = [_ge("observability_ratio", _tol(cfg, "observability_ratio", 0.95),
-                      rep["worst_ratio"])]
-    return assertions, rep, {}
+    return {"observability_ratio": rep["worst_ratio"]}, rep, {}
 
 
-# kind -> (runner, full-profile defaults, quick-profile defaults), in suite
-# order: suite() seeds kind i with seed + i
+# A check is (assertion name, direction, default tolerance). Each runner
+# returns ({name: measured}, payload, {csv name: writer}) and run() turns the
+# measurements into the report's assertions in the order of its kind's checks.
+_COMPOSE_CHECKS = (("transfer_identity", "<=", 1e-10), ("time_identity", "<=", 1e-9))
+_SWEEP_CHECKS = (("sweep_failures_below_bound", "<=", 0), ("breakdown_margin", ">=", 1.0))
+
+# kind -> (runner, full-profile defaults, quick-profile defaults, checks), in
+# suite order: suite() seeds kind i with seed + i
 _KINDS = {
-    "quadruple-identities": (_run_quadruple_identities, {"trials": 50}, {"trials": 12}),
-    "compose-across": (lambda cfg: _run_compose(cfg, "across"), {"trials": 50}, {"trials": 10}),
-    "compose-cross": (lambda cfg: _run_compose(cfg, "cross"), {"trials": 50}, {"trials": 10}),
-    "compose-double": (lambda cfg: _run_compose(cfg, "double"), {"trials": 50}, {"trials": 10}),
-    "k0-sweep": (lambda cfg: _run_gain_sweep(cfg, "across"), {"trials": 25}, {"trials": 5}),
-    "theta0-sweep": (lambda cfg: _run_gain_sweep(cfg, "cross"), {"trials": 25}, {"trials": 5}),
-    "radius": (_run_radius, {"trials": 100}, {"trials": 30}),
+    "quadruple-identities": (_run_quadruple_identities, {"trials": 50}, {"trials": 12},
+                             (("composition_identities", "<=", 1e-10),)),
+    "compose-across": (lambda cfg: _run_compose(cfg, "across"), {"trials": 50}, {"trials": 10},
+                       _COMPOSE_CHECKS),
+    "compose-cross": (lambda cfg: _run_compose(cfg, "cross"), {"trials": 50}, {"trials": 10},
+                      _COMPOSE_CHECKS),
+    "compose-double": (lambda cfg: _run_compose(cfg, "double"), {"trials": 50}, {"trials": 10},
+                       _COMPOSE_CHECKS),
+    "k0-sweep": (lambda cfg: _run_gain_sweep(cfg, "across"), {"trials": 25}, {"trials": 5},
+                 _SWEEP_CHECKS),
+    "theta0-sweep": (lambda cfg: _run_gain_sweep(cfg, "cross"), {"trials": 25}, {"trials": 5},
+                     _SWEEP_CHECKS),
+    "radius": (_run_radius, {"trials": 100}, {"trials": 30},
+               (("safe_perturbation_failures", "<=", 0), ("rank_one_kill_failures", "<=", 0))),
     "boundary-feedin": (_run_boundary_feedin, {"N": 100, "wave_cells": 32, "gain": 0.5},
-                        {"N": 64, "wave_cells": 24, "gain": 0.5}),
-    "beam-transfer": (_run_beam_transfer, {"N": 400}, {"N": 200}),
+                        {"N": 64, "wave_cells": 24, "gain": 0.5},
+                        (("wave_composite_control", "<=", 1e-6), ("wave_composite_observation", "<=", 1e-6),
+                         ("wave_composite_feedthrough", "<=", 1e-6), ("beam_restriction", "<=", 1e-12),
+                         ("beam_control_operator", "<=", 1e-6), ("beam_lambda_independence", "<=", 1e-8),
+                         ("beam_trajectory_agreement", "<=", 1e-6),
+                         ("beam_velocity_feedthrough_residual", "<=", 1e-4),
+                         ("beam_velocity_feedthrough_value", "<=", 1e-4),
+                         ("beam_slope_feedthrough_residual", "<=", 1e-4),
+                         ("beam_slope_feedthrough_value", "<=", 1e-4),
+                         ("beam_closed_loop", "<=", 1e-10), ("beam_closed_loop_eigenvalues", "<=", 1e-6))),
+    "beam-transfer": (_run_beam_transfer, {"N": 400}, {"N": 200},
+                      (("scaled_H_bound", "<=", 5.0), ("scaled_H1_bound", "<=", 2.0),
+                       ("discrete_transfer_match", "<=", 0.02))),
     "beam-bounds": (_run_beam_bounds, {"N": 200, "trials": 50, "T": 1.0, "delta": 0.1},
-                    {"N": 96, "trials": 8, "T": 1.0, "delta": 0.1}),
+                    {"N": 96, "trials": 8, "T": 1.0, "delta": 0.1},
+                    (("admissibility_ratio", "<=", 1.05), ("wellposedness_ratio", "<=", 1.05),
+                     ("wellposedness_constant_error", "<=", 1e-12), ("energy_drift", "<=", 1e-8),
+                     ("multiplier_refinement_ratio", "<=", 0.6))),
     "beam-observability": (_run_beam_observability, {"N": 200, "trials": 50, "T": 4.0},
-                           {"N": 96, "trials": 8, "T": 4.0}),
+                           {"N": 96, "trials": 8, "T": 4.0}, (("observability_ratio", ">=", 0.95),)),
 }
 KINDS = tuple(_KINDS)
 
@@ -376,7 +346,7 @@ def _normalize_config(raw: dict, profile: str = "full") -> dict:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise UsageError(f"kind must be one of {list(KINDS)}, got {kind!r}")
-    _, full, quick = _KINDS[kind]
+    _, full, quick, checks = _KINDS[kind]
     cfg = dict(quick if profile == "quick" else full)
     cfg["kind"] = kind
     cfg["seed"] = raw.get("seed", 0)
@@ -389,16 +359,22 @@ def _normalize_config(raw: dict, profile: str = "full") -> dict:
     for key, value in (*raw.items(), *grid.items()):
         if key in ("trials", "N", "wave_cells", "n_steps") and (type(value) is not int or value < 1):
             raise UsageError(f"{key} must be a positive integer, got {value!r}")
-        if key in ("T", "delta", "gain", "t_end") and (type(value) not in (int, float) or value <= 0):
-            raise UsageError(f"{key} must be positive, got {value!r}")
+        # JSON admits NaN and Infinity; the chained test refuses both
+        if key in ("T", "delta", "gain", "t_end") and (type(value) not in (int, float)
+                                                       or not 0 < value < np.inf):
+            raise UsageError(f"{key} must be positive and finite, got {value!r}")
     cfg.update((key, raw[key]) for key in ("trials", "N", "wave_cells", "grid") if key in raw)
     cfg.update((key, float(raw[key])) for key in ("T", "delta", "gain") if key in raw)
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
-        raise UsageError("tolerances must be an object of name: positive number")
+        raise UsageError("tolerances must be an object of name: nonnegative number")
+    names = [name for name, _, _ in checks]
+    unknown = set(tolerances) - set(names)
+    if unknown:
+        raise UsageError(f"unknown tolerances for {kind}: {sorted(unknown)}; it checks {names}")
     for name, value in tolerances.items():
-        if type(value) not in (int, float) or value < 0:
-            raise UsageError(f"tolerance {name!r} must be nonnegative, got {value!r}")
+        if type(value) not in (int, float) or not 0 <= value < np.inf:
+            raise UsageError(f"tolerance {name!r} must be nonnegative and finite, got {value!r}")
     cfg["tolerances"] = dict(tolerances)
     return cfg
 
@@ -410,9 +386,15 @@ def run(config: dict, out_dir: str | Path | None = None, profile: str = "full") 
     report is fully deterministic for a fixed config except wall_time_s.
     """
     cfg = _normalize_config(config, profile)
+    runner, _, _, checks = _KINDS[cfg["kind"]]
     start = time.perf_counter()
-    assertions, payload, csvs = _KINDS[cfg["kind"]][0](cfg)
+    measured, payload, csvs = runner(cfg)
     wall = time.perf_counter() - start
+    assertions = []
+    for name, direction, default in checks:
+        tol, value = float(cfg["tolerances"].get(name, default)), float(measured[name])
+        assertions.append({"name": name, "direction": direction, "tolerance": tol, "measured": value,
+                           "passed": bool(value <= tol if direction == "<=" else value >= tol)})
     report = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
@@ -518,7 +500,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report["passed"] else 1
     except UsageError as exc:
         parser.exit(2, f"error: {exc}\n")
-    except RegsysError as exc:
+    except (RegsysError, ValueError) as exc:
+        # the library refuses arguments it cannot use with ValueError too
         parser.exit(2, f"error: experiment refused: {exc}\n")
 
 

@@ -44,7 +44,6 @@ from .node import (
     _rel_dev,
     _spectral_norm,
     lifted_quadruple,
-    quadruple_maps,
     transfer,
 )
 
@@ -97,7 +96,8 @@ def admissible_feedback_check(r: Realization, fb: FeedbackGain, g: TimeGrid) -> 
         raise ShapeError(f"gamma must be {r.m} x {r.p}, got {gamma.shape}")
     N, p = g.n_steps, r.p
     # F blockdiag(gamma, ..., gamma): one m x p block product per step
-    gained = (quadruple_maps(r, g).io_map.reshape(N * p, N, r.m) @ gamma).reshape(N * p, N * p)
+    io = _grid_map(lifted_quadruple(r, g.dt), slice(None), slice(None), N)
+    gained = (io.reshape(N * p, N, r.m) @ gamma).reshape(N * p, N * p)
     sv = np.linalg.svd(np.eye(N * p) - gained, compute_uv=False)
     sv_static = np.linalg.svd(np.eye(p) - r.D @ gamma, compute_uv=False)
     ok_grid = sv[-1] > _ADMISSIBILITY_RTOL * sv[0]
@@ -186,12 +186,10 @@ def theta0_bound(norms: dict) -> float:
     theta0 = min( 1/d_norm, 1/io_norm,
                   (obs_constant - alpha0) /
                   ((obs_constant - alpha0) io_norm + pert_io_norm obs_norm) )
-    with the convention 1/0 = +inf.
+    with the convention 1/0 = +inf: k0 of the dual side, with obs_norm for
+    control_norm and obs_constant - alpha0 for the radius. + and * commute
+    in IEEE arithmetic, so k0_bound gives it bit for bit.
     """
-    d = float(norms["d_norm"])
-    f = float(norms["io_norm"])
-    f_pert = float(norms["pert_io_norm"])
-    psi = float(norms["obs_norm"])
     k_obs = float(norms["obs_constant"])
     alpha0 = float(norms["alpha0"])
     if not (0.0 < alpha0 < k_obs):
@@ -199,14 +197,7 @@ def theta0_bound(norms: dict) -> float:
             f"alpha0 must lie strictly between 0 and the observability constant "
             f"{k_obs}, got {alpha0}"
         )
-    gap = k_obs - alpha0
-    denom = gap * f + f_pert * psi
-    terms = [
-        np.inf if d == 0 else 1.0 / d,
-        np.inf if f == 0 else 1.0 / f,
-        np.inf if denom == 0 else gap / denom,
-    ]
-    return float(min(terms))
+    return k0_bound(dict(norms, control_norm=norms["obs_norm"], radius=k_obs - alpha0))
 
 
 @dataclass(frozen=True, eq=False)

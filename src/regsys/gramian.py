@@ -23,7 +23,7 @@ from .errors import AdmissibilityError, ControllabilityError, GridError, ShapeEr
 from .feedback import (_closed_step, _companion_stack, _margin_norms, _open_blocks, _sides,
                        k0_bound, theta0_bound)
 from .grids import Signal, TimeGrid
-from .node import Realization, _checked_solve, _grid_map, lifted_quadruple, quadruple_maps
+from .node import Realization, _checked_solve, _grid_map, lifted_quadruple
 
 _EXACTNESS_RTOL = 1e-8
 
@@ -72,14 +72,14 @@ def control_operator(r: Realization, g: TimeGrid, t0: float | None = None) -> Co
     Raises GridError when t0 is not a grid node.
     """
     sub = _prefix_grid(g, g.t_end if t0 is None else t0)
-    phi = quadruple_maps(r, sub).input_map / np.sqrt(sub.dt)
+    phi = _grid_map(lifted_quadruple(r, sub.dt), None, slice(None), sub.n_steps) / np.sqrt(sub.dt)
     return ControlOperatorMatrix(phi, sub.t_end, sub)
 
 
 def observation_operator(r: Realization, g: TimeGrid, t0: float | None = None) -> ObservationOperatorMatrix:
     """Observation operator matrix on [0, t0] (default: the full grid)."""
     sub = _prefix_grid(g, g.t_end if t0 is None else t0)
-    psi = quadruple_maps(r, sub).output_map * np.sqrt(sub.dt)
+    psi = _grid_map(lifted_quadruple(r, sub.dt), slice(None), None, sub.n_steps) * np.sqrt(sub.dt)
     return ObservationOperatorMatrix(psi, sub.t_end, sub)
 
 

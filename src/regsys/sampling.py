@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ControllabilityError
 from .gramian import control_operator, observability_constant, surjectivity_radius
 from .grids import TimeGrid
 from .node import Realization, _grid_map, _spectral_norm, lifted_quadruple
@@ -76,7 +77,7 @@ def across_instance(
         pert = Realization(main.A, db, main.C, p_ft)
         if g.n_steps * q >= n and surjectivity_radius(control_operator(pert, g).matrix) > min_radius:
             return main, pert
-    raise RuntimeError("could not draw a companion with surjective input map")
+    raise ControllabilityError("could not draw a companion with surjective input map")
 
 
 def cross_instance(
@@ -101,7 +102,7 @@ def cross_instance(
         pert = Realization(main.A, main.B, dc, p_ft)
         if observability_constant(pert, g) > min_constant:
             return main, pert
-    raise RuntimeError("could not draw a companion with bounded-below output map")
+    raise ControllabilityError("could not draw a companion with bounded-below output map")
 
 
 def double_instance(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regsys.cli import KINDS, main, run, suite
+from regsys.errors import ControllabilityError
 
 # quick-profile trial counts keep each kind below a second or two
 QUICK = "quick"
@@ -11,6 +12,38 @@ QUICK = "quick"
 
 def strip_wall_time(doc):
     return {k: v for k, v in doc.items() if k != "wall_time_s"}
+
+
+# kind -> its report assertions in order: (name, direction, default tolerance)
+CHECKS = {
+    "quadruple-identities": [("composition_identities", "<=", 1e-10)],
+    **{kind: [("transfer_identity", "<=", 1e-10), ("time_identity", "<=", 1e-9)]
+       for kind in ("compose-across", "compose-cross", "compose-double")},
+    **{kind: [("sweep_failures_below_bound", "<=", 0.0), ("breakdown_margin", ">=", 1.0)]
+       for kind in ("k0-sweep", "theta0-sweep")},
+    "radius": [("safe_perturbation_failures", "<=", 0.0), ("rank_one_kill_failures", "<=", 0.0)],
+    "boundary-feedin": [
+        ("wave_composite_control", "<=", 1e-6),
+        ("wave_composite_observation", "<=", 1e-6),
+        ("wave_composite_feedthrough", "<=", 1e-6),
+        ("beam_restriction", "<=", 1e-12),
+        ("beam_control_operator", "<=", 1e-6),
+        ("beam_lambda_independence", "<=", 1e-8),
+        ("beam_trajectory_agreement", "<=", 1e-6),
+        ("beam_velocity_feedthrough_residual", "<=", 1e-4),
+        ("beam_velocity_feedthrough_value", "<=", 1e-4),
+        ("beam_slope_feedthrough_residual", "<=", 1e-4),
+        ("beam_slope_feedthrough_value", "<=", 1e-4),
+        ("beam_closed_loop", "<=", 1e-10),
+        ("beam_closed_loop_eigenvalues", "<=", 1e-6),
+    ],
+    "beam-transfer": [("scaled_H_bound", "<=", 5.0), ("scaled_H1_bound", "<=", 2.0),
+                      ("discrete_transfer_match", "<=", 0.02)],
+    "beam-bounds": [("admissibility_ratio", "<=", 1.05), ("wellposedness_ratio", "<=", 1.05),
+                    ("wellposedness_constant_error", "<=", 1e-12), ("energy_drift", "<=", 1e-8),
+                    ("multiplier_refinement_ratio", "<=", 0.6)],
+    "beam-observability": [("observability_ratio", ">=", 0.95)],
+}
 
 
 class TestRun:
@@ -23,7 +56,8 @@ class TestRun:
         assert report["kind"] == kind
         for a in report["assertions"]:
             assert set(a) == {"name", "direction", "tolerance", "measured", "passed"}
-            assert a["direction"] in ("<=", ">=")
+        # every check of the kind, in report order, at its default tolerance
+        assert [(a["name"], a["direction"], a["tolerance"]) for a in report["assertions"]] == CHECKS[kind]
 
     def test_deterministic_up_to_wall_time(self):
         cfg = {"kind": "quadruple-identities", "seed": 7}
@@ -97,13 +131,29 @@ class TestRun:
     )
     def test_json_booleans_refused(self, tmp_path, field, flag):
         # bool subclasses int, but JSON true and false are no numbers
+        self._assert_refused(tmp_path, self._beam_bounds_with(field, flag))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["T", "delta", "gain", "t_end", "tolerance"])
+    def test_non_finite_values_refused(self, tmp_path, field, value):
+        # Python's json reads and writes NaN and Infinity
+        self._assert_refused(tmp_path, self._beam_bounds_with(field, value))
+
+    @staticmethod
+    def _beam_bounds_with(field, value):
         if field in ("n_steps", "t_end"):
-            patch = {"grid": {field: flag}}
-        elif field == "tolerance":
-            patch = {"tolerances": {"energy_drift": flag}}
-        else:
-            patch = {field: flag}
-        self._assert_refused(tmp_path, {"kind": "beam-bounds", **patch})
+            return {"kind": "beam-bounds", "grid": {field: value}}
+        if field == "tolerance":
+            return {"kind": "beam-bounds", "tolerances": {"energy_drift": value}}
+        return {"kind": "beam-bounds", field: value}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_tolerance_name_refused(self, tmp_path, kind):
+        # a misspelt name is not taken for its default, and a name that
+        # another kind checks is not one of this kind's
+        other = "energy_drift" if kind != "beam-bounds" else "time_identity"
+        for name in ("safe_perturbation_failure", other):
+            self._assert_refused(tmp_path, {"kind": kind, "tolerances": {name: 5}})
 
     @staticmethod
     def _assert_refused(tmp_path, cfg):
@@ -113,9 +163,11 @@ class TestRun:
             run(cfg, profile=QUICK)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
+        out = tmp_path / "reports"
         with pytest.raises(SystemExit) as exc:
-            main(["--config", str(path)])
+            main(["--config", str(path), "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
 
     def test_valid_grid_echoed_as_given(self):
         grid = {"t_end": 1.5, "n_steps": 8}
@@ -245,6 +297,33 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "cfg, error",
+        [
+            # N and trials only shorten the run before the refusal
+            ({"kind": "beam-bounds", "delta": 0.5, "N": 16, "trials": 1}, ValueError),
+            ({"kind": "beam-observability", "T": 1.5}, ValueError),
+            ({"kind": "compose-across", "grid": {"n_steps": 1}}, ControllabilityError),
+            ({"kind": "k0-sweep", "grid": {"n_steps": 1}}, ControllabilityError),
+        ],
+        ids=["beam-bounds-delta", "beam-observability-T", "compose-across-one-step",
+             "k0-sweep-one-step"],
+    )
+    def test_library_refusal_exits_two(self, tmp_path, capsys, cfg, error):
+        # a config the library cannot use is refused with one error line,
+        # not reported as a failed assertion or a traceback
+        with pytest.raises(error):
+            run(cfg)
+        out = tmp_path / "reports"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", self.write_config(tmp_path, cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: experiment refused: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_json_output_is_sorted_and_finite(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"kind": "radius", "seed": 0, "trials": 5})
