@@ -30,7 +30,8 @@ of them, and the energy refused on drift at every node. The verification
 drivers evaluate no nodal energy: each trial's drift is certified at every
 t from its initial mode amplitudes and the basis defects, the traces
 w_x(1) and w_xx(0) are modal rows applied to the rotation tables, and the
-forced trials advance together in one modal recursion.
+forced tip slopes are every trial's held shear convolved, by one real FFT,
+with the closed-form modal impulse response.
 """
 
 from __future__ import annotations
@@ -465,30 +466,22 @@ def _certified_drift(model: BeamModel, eta0: np.ndarray, etadot0: np.ndarray) ->
 
 
 def _forced_tip_slopes(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.ndarray:
-    """w_x(1, t_k) from rest under each row of held shear samples (trials x
-    grid nodes), all trials advanced together by the modal step of
-    `simulate`, reading only the tip slope. Each step is the exact rotation
-    of every mode under its held force, a fixed recursion with nothing to
-    converge; it uses no matrix exponential and no nodal first-order matrix."""
+    """w_x(1, t_n) = sum_{j<n} h_{n-1-j} u_j from rest for each row of held
+    shear samples u (trials x grid nodes), by one real FFT. A unit shear held
+    over one step moves mode k, i steps later, by force_k 2 sin(omega_k dt/2)
+    sin(omega_k (i+1/2) dt) / omega_k^2 (cos - cos, no cancellation; dt^2 (i+1/2)
+    at omega_k = 0), so h is one modes x steps sine table read by the tip slope."""
     omega, V = model.modal_basis()
-    c, sinc, one_minus_cos, ms = (a[:, None] for a in _step_coefficients(omega, g.dt))
-    force_dir = -V.T[:, -1:]
-    slope = model.slope_tip_row @ V
-    eta = np.zeros((model.n_dof, inputs.shape[0]))
-    etadot = np.zeros_like(eta)
-    wx1 = np.zeros((inputs.shape[0], g.n_steps + 1))
-    for step in range(g.n_steps):
-        phi = force_dir * inputs[:, step]
-        eta, etadot = (c * eta + sinc * etadot + one_minus_cos * phi,
-                       ms * eta + c * etadot + sinc * phi)
-        wx1[:, step + 1] = slope @ eta
-    return wx1
-
-
-def _forced_slope_integrals(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.ndarray:
-    """int w_x(1)^2 from rest under each row of held shear samples, the
-    trapezoid rule on `_forced_tip_slopes`."""
-    return _trapezoid_rows(_forced_tip_slopes(model, g, inputs) ** 2, g.dt)
+    n, positive = g.n_steps, omega > 0
+    mid = (np.arange(n) + 0.5) * g.dt
+    table = np.outer(omega, mid)
+    np.sin(table, out=table)
+    table[~positive] = mid
+    scale = np.where(positive, 2.0 * np.sin(omega * g.dt / 2.0) / np.where(positive, omega, 1.0) ** 2, g.dt)
+    h = ((model.slope_tip_row @ V) * -V[-1] * scale) @ table
+    size = 1 << (2 * n - 2).bit_length()  # at least 2n - 1: no wrap-around
+    spectrum = np.fft.rfft(inputs[:, :n], size) * np.fft.rfft(h, size)
+    return np.concatenate([np.zeros((len(inputs), 1)), np.fft.irfft(spectrum, size)[:, :n]], axis=1)
 
 
 def _closed_loop_roots(model: BeamModel, k: float, seeds: np.ndarray) -> np.ndarray | None:
@@ -640,12 +633,19 @@ def _smooth_input(g: TimeGrid, rng: np.random.Generator, n_harmonics: int = 8) -
     return Signal(g, vals[:, None])
 
 
+def _driver_grid(T: float, n_steps: int | None, trials: int) -> TimeGrid:
+    """n_steps, or dt = 1e-3 and at least 100 steps; refuses trials < 0."""
+    if trials < 0:
+        raise ValueError(f"the trial count must be nonnegative, got {trials}")
+    return TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
+
+
 def verify_admissibility_bound(N: int, T: float, trials: int, seed: int = 0,
                                n_steps: int | None = None) -> dict:
     """Check int_0^T w_x(1)^2 dt <= (3T + 2) F(0) (1 + 0.05) over random
     smooth homogeneous states. Reports the worst ratio."""
+    g = _driver_grid(T, n_steps, trials)
     model = beam_model(N, "homogeneous")
-    g = TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
     rng = np.random.default_rng(seed)
     bound_factor = 3.0 * T + 2.0
     f0, integrals, _ = _free_trials(model, g, rng, trials)
@@ -669,13 +669,13 @@ def verify_wellposedness_bound(N: int, T: float, delta: float, input_trials: int
     """Check int_0^T w_x(1)^2 dt <= (1 + 3T) C_{delta,T} int_0^T u^2 dt
     (1 + 0.05) for random smooth inputs from rest."""
     c_const = wellposedness_constant(T, delta)
+    g = _driver_grid(T, n_steps, input_trials)
     model = beam_model(N, "shear-input")
-    g = TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
     rng = np.random.default_rng(seed)
     factor = (1.0 + 3.0 * T) * c_const
     inputs = np.array([_smooth_input(g, rng).values[:, 0].real
                        for _ in range(input_trials)]).reshape(input_trials, len(g))
-    lhs = _forced_slope_integrals(model, g, inputs)
+    lhs = _trapezoid_rows(_forced_tip_slopes(model, g, inputs) ** 2, g.dt)
     rhs = factor * _trapezoid_rows(inputs**2, g.dt)
     worst = float(np.max(lhs[rhs > 0] / rhs[rhs > 0], initial=0.0))
     return {"bound": factor, "constant": c_const, "worst_ratio": worst,
@@ -689,8 +689,8 @@ def verify_observability(N: int, T: float, trials: int, seed: int = 0,
     smooth homogeneous states. Refuses T <= 2 where the bound is vacuous."""
     if T <= 2.0:
         raise ValueError(f"the lower bound is vacuous for T <= 2, got T={T}")
+    g = _driver_grid(T, n_steps, trials)
     model = beam_model(N, "homogeneous")
-    g = TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
     rng = np.random.default_rng(seed)
     bound_factor = T - 2.0
     f0, integrals, _ = _free_trials(model, g, rng, trials)

@@ -430,6 +430,48 @@ def _modal_closed_loop(omega, phi, k):
     return a
 
 
+def _modal_recursion_tip_slopes(model, g, inputs):
+    """w_x(1) from rest by the exact modal step of `simulate`, every trial
+    advanced together one step at a time: the per-step recursion that the
+    convolution of `_forced_tip_slopes` replaced, kept as its oracle."""
+    omega, V = model.modal_basis()
+    c, sinc, one_minus_cos, ms = (a[:, None] for a in regsys.beam._step_coefficients(omega, g.dt))
+    force_dir = -V.T[:, -1:]
+    slope = model.slope_tip_row @ V
+    eta = np.zeros((model.n_dof, inputs.shape[0]))
+    etadot = np.zeros_like(eta)
+    wx1 = np.zeros((inputs.shape[0], g.n_steps + 1))
+    for step in range(g.n_steps):
+        phi = force_dir * inputs[:, step]
+        eta, etadot = (c * eta + sinc * etadot + one_minus_cos * phi,
+                       ms * eta + c * etadot + sinc * phi)
+        wx1[:, step + 1] = slope @ eta
+    return wx1
+
+
+def _closed_form_tip_slopes_mp(model, g, inputs, dps=30):
+    """The closed-form impulse response h_i = sum_k (slope V)_k (-V[-1, k])
+    2 sin(omega_k dt/2) sin(omega_k (i+1/2) dt) / omega_k^2 and the direct
+    convolution sum w_x(1, t_n) = sum_{j<n} h_{n-1-j} u_j in mpmath, on the
+    float64 basis and inputs."""
+    omega, V = model.modal_basis()
+    n = g.n_steps
+    with mp.workdps(dps):
+        dt = mp.mpf(g.dt)
+        gains = []
+        for k, w in enumerate(omega):
+            w = mp.mpf(w)
+            slope = mp.fsum(mp.mpf(a) * mp.mpf(b) for a, b in zip(model.slope_tip_row, V[:, k]))
+            gains.append((w, slope * -mp.mpf(V[-1, k]) * 2 * mp.sin(w * dt / 2) / w**2))
+        h = [mp.fsum(gain * mp.sin(w * (i + mp.mpf(0.5)) * dt) for w, gain in gains) for i in range(n)]
+        out = np.zeros((inputs.shape[0], n + 1))
+        for t, row in enumerate(inputs):
+            u = [mp.mpf(x) for x in row[:n]]
+            for m in range(1, n + 1):
+                out[t, m] = float(mp.fsum(h[m - 1 - j] * u[j] for j in range(m)))
+    return out
+
+
 class TestModalEngine:
     """The verification drivers evaluate only F and the two boundary
     traces; `simulate` is the full nodal oracle they must agree with."""
@@ -516,6 +558,76 @@ class TestModalEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * table_bytes
+
+    @given(N=st.integers(8, 120), n_steps=st.integers(1, 600), trials=st.integers(0, 4),
+           T=st.floats(0.2, 2.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_forced_tip_slopes_match_modal_recursion(self, N, n_steps, trials, T, seed):
+        model = beam_model(N, "shear-input")
+        g = TimeGrid(T, n_steps)
+        rng = np.random.default_rng(seed)
+        inputs = np.array([regsys.beam._smooth_input(g, rng).values[:, 0] for _ in range(trials)])
+        inputs = inputs.reshape(trials, n_steps + 1)
+        got = regsys.beam._forced_tip_slopes(model, g, inputs)
+        expect = _modal_recursion_tip_slopes(model, g, inputs)
+        assert got.shape == expect.shape == (trials, n_steps + 1)
+        assert np.max(np.abs(got - expect), initial=0.0) <= 1e-12 * np.max(np.abs(expect), initial=0.0)
+
+    def test_forced_tip_slopes_match_extended_precision(self):
+        model = beam_model(16, "shear-input")
+        g = TimeGrid(1.0, 200)
+        rng = np.random.default_rng(5)
+        inputs = np.array([regsys.beam._smooth_input(g, rng).values[:, 0] for _ in range(2)])
+        expect = _closed_form_tip_slopes_mp(model, g, inputs)
+        got = regsys.beam._forced_tip_slopes(model, g, inputs)
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    def test_forced_tip_slopes_edges(self):
+        model = beam_model(16, "shear-input")
+        empty = regsys.beam._forced_tip_slopes(model, TimeGrid(1.0, 300), np.zeros((0, 301)))
+        assert empty.shape == (0, 301)
+        assert verify_wellposedness_bound(16, 0.5, 0.05, 0, n_steps=50)["worst_ratio"] == 0.0
+        # one step: the held shear's exact modal step, read by the slope row;
+        # dt = 0.5 keeps 1 - cos(omega dt) clear of cancellation
+        g = TimeGrid(0.5, 1)
+        omega, V = model.modal_basis()
+        one_minus_cos = regsys.beam._step_coefficients(omega, g.dt)[2]
+        u = np.array([[1.5, -7.0], [-0.25, 3.0]])
+        got = regsys.beam._forced_tip_slopes(model, g, u)
+        expect = model.slope_tip_row @ V @ (one_minus_cos * -V[-1]) * u[:, 0]
+        assert np.all(got[:, 0] == 0.0)
+        assert np.max(np.abs(got[:, 1] - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_forced_tip_slopes_hold_one_sine_table(self):
+        # a modes x trials x steps array would be `trials` tables; the
+        # convolution holds one modes x steps table and per-trial spectra
+        model = beam_model(200, "shear-input")
+        g = TimeGrid(4.0, 4000)
+        model.modal_basis()
+        inputs = np.random.default_rng(0).standard_normal((5, len(g)))
+        table_bytes = model.n_dof * g.n_steps * 8
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            regsys.beam._forced_tip_slopes(model, g, inputs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * table_bytes
+
+    @pytest.mark.parametrize("driver", [
+        lambda: verify_admissibility_bound(16, 0.5, -3, n_steps=50),
+        lambda: verify_wellposedness_bound(16, 0.5, 0.05, -3, n_steps=50),
+        lambda: verify_observability(16, 2.5, -3, n_steps=50),
+    ], ids=["admissibility", "wellposedness", "observability"])
+    def test_negative_trial_count_refused(self, monkeypatch, driver):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a model was built before the trial count was checked")
+
+        monkeypatch.setattr(regsys.beam, "beam_model", unreachable)
+        with pytest.raises(ValueError, match="trial count must be nonnegative, got -3"):
+            driver()
 
     @given(N=st.integers(8, 120), k=st.floats(0.05, 2.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10)
