@@ -330,11 +330,12 @@ def _rotation_tables(omega: np.ndarray, times: np.ndarray) -> tuple:
 
 def _step_coefficients(omega: np.ndarray, dt: float) -> tuple:
     """One exact modal step under a force phi held over it: eta' = c eta +
-    sinc etadot + one_minus_cos phi and etadot' = ms eta + c etadot + sinc phi."""
+    sinc etadot + one_minus_cos phi and etadot' = ms eta + c etadot + sinc phi,
+    one_minus_cos as 2 sin^2(omega dt / 2) / omega^2: no cancellation."""
     c, s = np.cos(omega * dt), np.sin(omega * dt)
     sinc = np.where(omega > 0, s / np.where(omega > 0, omega, 1.0), dt)
     one_minus_cos = np.where(
-        omega > 0, (1.0 - c) / np.where(omega > 0, omega**2, 1.0), dt**2 / 2.0
+        omega > 0, 2.0 * np.sin(omega * dt / 2.0) ** 2 / np.where(omega > 0, omega**2, 1.0), dt**2 / 2.0
     )
     return c, sinc, one_minus_cos, -omega * s
 

@@ -24,8 +24,9 @@ out or fed in) must have a closed transfer equal to G22 + G21 (I - G11)^-1
 G12 of the open one, both through `node.transfer` and its singularity gate.
 The right side's one LU of I - F on the grid is also the grid admissibility
 verdict; an exactly singular I - F is refused first at its diagonal blocks
-I - D_bar. When F12 is a block lower-triangular Toeplitz io-map (across,
-double), so is (I - F)^-1 F12, and only its first block column is solved.
+I - D_bar. Io-maps travel as Markov blocks (`node._markov`), F is formed only
+for that LU, X = (I - F)^-1 F12 is solved on one block column when F12 is an
+io-map, and F21 X is one FFT block convolution (`node._block_conv`).
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from .errors import AdmissibilityError, ControllabilityError, ShapeError
 from .grids import TimeGrid
 from .node import (
     Realization,
+    _block_conv,
     _block_toeplitz,
     _checked_solve,
     _grid_map,
+    _markov,
     _rel_dev,
     _spectral_norm,
     lifted_quadruple,
@@ -96,8 +99,7 @@ def admissible_feedback_check(r: Realization, fb: FeedbackGain, g: TimeGrid) -> 
         raise ShapeError(f"gamma must be {r.m} x {r.p}, got {gamma.shape}")
     N, p = g.n_steps, r.p
     # F blockdiag(gamma, ..., gamma): one m x p block product per step
-    io = _grid_map(lifted_quadruple(r, g.dt), slice(None), slice(None), N)
-    gained = (io.reshape(N * p, N, r.m) @ gamma).reshape(N * p, N * p)
+    gained = _block_toeplitz(_markov(lifted_quadruple(r, g.dt), slice(None), slice(None), N) @ gamma)
     sv = np.linalg.svd(np.eye(N * p) - gained, compute_uv=False)
     sv_static = np.linalg.svd(np.eye(p) - r.D @ gamma, compute_uv=False)
     ok_grid = sv[-1] > _ADMISSIBILITY_RTOL * sv[0]
@@ -301,10 +303,11 @@ def _sides(theorem: str, first: int) -> tuple:
 
 def _open_blocks(theorem: str, step: tuple, m: int, n_steps: int) -> tuple:
     """(F, F12, F21, F22): the grid maps of the open stacked step between its
-    first m channels (the loop) and the theorem's sides."""
+    first m channels (the loop) and the theorem's sides, io-maps as their
+    Markov blocks."""
     out, inp = _sides(theorem, m)
     loop = slice(m)
-    return tuple(_grid_map(step, o, i, n_steps)
+    return tuple((_grid_map if o is None or i is None else _markov)(step, o, i, n_steps)
                  for o, i in ((loop, loop), (loop, inp), (out, loop), (out, inp)))
 
 
@@ -349,15 +352,17 @@ def _compose(theorem: str, main: Realization, stack: Realization, g: TimeGrid,
     step = lifted_quadruple(stack, g.dt)
     S = _checked_solve(np.eye(m) - step[3][:m, :m], np.eye(m), _ADMISSIBILITY_RTOL,
                        AdmissibilityError, "I - D_bar")
-    lhs = _grid_map(_closed_step(step, m, S), *_sides(theorem, 0), N)
+    lhs = (_markov if theorem == "bcross" else _grid_map)(_closed_step(step, m, S), *_sides(theorem, 0), N)
 
     # discrete side, right: block composition of the open-loop maps, with
-    # the grid verdict in its one LU and X gathered from one block column
+    # the grid verdict in its one LU and X from F12's first block column;
+    # F21 X is T(F21) X, or for across the reversed input map convolved with X
     blocks = f, f12, f21, f22 = _open_blocks(theorem, step, m, N)
-    cols = f12.shape[1] if theorem == "cross" else f12.shape[1] // N
-    x = _checked_solve(np.eye(N * m) - f, f12[:, :cols], _ADMISSIBILITY_RTOL,
-                       AdmissibilityError, "I - F on the grid")
-    rhs = f21 @ (x if theorem == "cross" else _block_toeplitz(x, N)) + f22
+    x = _checked_solve(np.eye(N * m) - _block_toeplitz(f), f12.reshape(N * m, -1),
+                       _ADMISSIBILITY_RTOL, AdmissibilityError, "I - F on the grid").reshape(N, m, -1)
+    across = theorem == "across"
+    conv = _block_conv(f21.reshape(-1, N, m)[:, ::-1].swapaxes(0, 1) if across else f21)(x)
+    rhs = (conv[::-1].swapaxes(0, 1) if across else conv).reshape(f22.shape) + f22
 
     # transfer side: the closed probe against G22 + G21 (I - G11)^-1 G12 of
     # the open probe, at real frequencies clear of both spectra; across

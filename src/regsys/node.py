@@ -26,10 +26,12 @@ instead, which is the natural thing to plot and serialize.
 
 Operator 2-norms (the gain-margin norms and the io-map norm that sampled
 systems are scaled by) all come from `_spectral_norm`, the top eigenvalue
-of the smaller Gram matrix: a dense `eigh` below size 256, from there
-Lanczos on the Gram operator, never formed, unless 64 steps leave it
-uncertified. Every solve that can be refused as singular
-goes through `_checked_solve`: one LU and its 1-norm condition estimate.
+of the smaller Gram matrix: a dense `eigh` below size 256, from there one
+Lanczos kernel on the Gram operator, never formed, unless 64 steps leave it
+uncertified. The operator is dense mat-vecs, or FFT block convolutions for
+an io-map carried as its N Markov blocks (`_markov`). Every solve that can
+be refused as singular goes through `_checked_solve`: one LU and its 1-norm
+condition estimate.
 Reported smallest singular values (admissibility, radius of
 surjectivity, observability constant) take SVDs, because the Gram route
 squares the condition number.
@@ -79,6 +81,9 @@ def _spectral_norm(mat) -> float:
     is not fit for the smallest singular value. From Gram size 256, where it
     is faster, `_lanczos_top` goes first; what its 64 steps leave uncertified
     (a tight top cluster) the dense `eigh` gives, the same answer, slower.
+    Markov blocks (N, p, m) stand for their Toeplitz matrix T, which only the
+    dense route forms: Lanczos takes T x as a causal block convolution and
+    T^H y as the same convolution of the flipped sequences.
     """
     a = np.asarray(mat)
     top = float(np.max(np.abs(a))) if a.size else 0.0
@@ -86,17 +91,27 @@ def _spectral_norm(mat) -> float:
         return 0.0
     scale = 2.0 ** np.frexp(top)[1]
     a = a / scale
-    at = a.conj().T if np.iscomplexobj(a) else a.T
-    a, at = (a, at) if a.shape[0] <= a.shape[1] else (at, a)
-    k = a.shape[0]
-    lam = _lanczos_top(a, at) if k >= _LANCZOS_MIN_SIZE else None
+    toeplitz, lam = a.ndim == 3, None
+    if toeplitz and a.shape[0] * min(a.shape[1:]) >= _LANCZOS_MIN_SIZE:
+        N, p, m = a.shape
+        fwd, conj = _block_conv(a), _block_conv(a.conj().swapaxes(1, 2))
+        adj = lambda v: conj(v[::-1])[::-1]  # noqa: E731
+        outer, inner = (fwd, adj) if p <= m else (adj, fwd)
+        lam = _lanczos_top(lambda v: outer(inner(v.reshape(N, -1, 1))).ravel(), N * min(p, m), a.dtype)
+    if lam is None:
+        a = _block_toeplitz(a) if toeplitz else a
+        at = a.conj().T if np.iscomplexobj(a) else a.T
+        a, at = (a, at) if a.shape[0] <= a.shape[1] else (at, a)
+        k = a.shape[0]
+        lam = _lanczos_top(lambda v: a @ (at @ v), k, a.dtype) if k >= _LANCZOS_MIN_SIZE and not toeplitz else None
     if lam is None:
         (lam,) = scipy.linalg.eigh(a @ at, eigvals_only=True, overwrite_a=True, subset_by_index=[k - 1, k - 1])
     return float(np.sqrt(max(lam, 0.0)) * scale)
 
 
-def _lanczos_top(a, at) -> float | None:
-    """Top eigenvalue of x -> a (at x) by at most 64 Lanczos steps with full
+def _lanczos_top(gram, k: int, dtype) -> float | None:
+    """Top eigenvalue of the Hermitian positive semidefinite operator gram
+    on vectors of length k by at most 64 Lanczos steps with full
     reorthogonalization (two classical Gram-Schmidt passes) from a fixed
     normal start vector, or None. The top Ritz value theta <= lambda_max is
     accepted once its residual beta_j |s_j| <= 4 eps theta, which puts an
@@ -104,13 +119,13 @@ def _lanczos_top(a, at) -> float | None:
     Symmetric Eigenvalue Problem, ch. 13); that it is the top one rests on
     the start vector meeting the top eigenvector.
     """
-    basis = np.zeros((_LANCZOS_STEPS + 1, a.shape[0]), dtype=a.dtype)
-    start = np.random.default_rng(0).standard_normal(a.shape[0])
+    basis = np.zeros((_LANCZOS_STEPS + 1, k), dtype=dtype)
+    start = np.random.default_rng(0).standard_normal(k)
     basis[0] = start / np.linalg.norm(start)
     alpha, beta = [], []
     for j in range(_LANCZOS_STEPS):
         q = basis[: j + 1]
-        w = a @ (at @ q[j])
+        w = gram(q[j])
         alpha.append(np.vdot(q[j], w).real)
         for _ in range(2):
             w -= (q @ w.conj()).conj() @ q
@@ -293,17 +308,42 @@ class QuadrupleMaps:
         return samples
 
 
-def _block_toeplitz(col: np.ndarray, n_steps: int) -> np.ndarray:
-    """Block lower-triangular Toeplitz matrix with first block column col.
-    Block row i is the columns (N-1-i) m : (2N-1-i) m of the p x (2N-1) m
-    row buffer [T_(N-1), ..., T_0, 0, ..., 0] of the blocks of col: one
-    sliding-window view with step m, copied once."""
-    N = n_steps
-    p, m = col.shape[0] // N, col.shape[1]
-    row = np.zeros((p, (2 * N - 1) * m), dtype=col.dtype)
-    row[:, : N * m] = col.reshape(N, p, m)[::-1].transpose(1, 0, 2).reshape(p, N * m)
+def _block_toeplitz(seq: np.ndarray) -> np.ndarray:
+    """Block lower-triangular Toeplitz matrix of the Markov blocks seq (N, p,
+    m): seq[i - k] at block (i, k). Block row i is the columns (N-1-i) m :
+    (2N-1-i) m of the p x (2N-1) m row buffer [T_(N-1), ..., T_0, 0, ..., 0]:
+    one sliding-window view with step m, copied once."""
+    N, p, m = seq.shape
+    row = np.zeros((p, (2 * N - 1) * m), dtype=seq.dtype)
+    row[:, : N * m] = seq[::-1].transpose(1, 0, 2).reshape(p, N * m)
     windows = np.lib.stride_tricks.sliding_window_view(row, N * m, axis=1)[:, ::m]
     return np.ascontiguousarray(windows[:, ::-1].transpose(1, 0, 2).reshape(N * p, N * m))
+
+
+def _block_conv(a: np.ndarray):
+    """b (N, k, m) -> c_i = sum_(j<=i) a_(i-j) b_j, i < N: T(a) b, or the
+    Markov blocks of T(a) T(b) (Kailath & Sayed, Fast Reliable Algorithms
+    for Matrices with Structure, SIAM 1999). a (N, p, k) is transformed once
+    by an FFT of length 2N: fft when a is complex, which rfft refuses (as it
+    refuses a complex b with a real a), rfft otherwise."""
+    N, n = len(a), 2 * len(a)
+    if np.iscomplexobj(a):
+        fa = np.fft.fft(a, n, axis=0)
+        return lambda b: np.fft.ifft(np.einsum("fpk,fkm->fpm", fa, np.fft.fft(b, n, axis=0)), axis=0)[:N]
+    fa = np.fft.rfft(a, n, axis=0)
+    return lambda b: np.fft.irfft(np.einsum("fpk,fkm->fpm", fa, np.fft.rfft(b, n, axis=0)), n, axis=0)[:N]
+
+
+def _markov(step: tuple, out, inp, n_steps: int) -> np.ndarray:
+    """Markov blocks (n_steps, p, m) of the io-map of step = (E, M, C_bar,
+    D_bar) from the channels inp to the channels out (slices): D_bar, then
+    C_bar E^(j-1) M by forward accumulation."""
+    E, M, C, D = step
+    M, blocks, acc = M[:, inp], [D[out, inp]], C[out]
+    for _ in range(n_steps - 1):
+        blocks.append(acc @ M)
+        acc = acc @ E
+    return np.stack(blocks)
 
 
 def _grid_map(step: tuple, out, inp, n_steps: int) -> np.ndarray:
@@ -312,25 +352,19 @@ def _grid_map(step: tuple, out, inp, n_steps: int) -> np.ndarray:
     stands for the state. out=None gives the input map [E^(N-1) M, ..., E M,
     M] and inp=None the output map [C; C E; ...; C E^(N-1)], both by forward
     accumulation with leading (batch) axes of the step carried through. Two
-    slices give the io-map: block lower-triangular Toeplitz with D_bar on the
-    diagonal and C_bar E^(j-1) M on the j-th block subdiagonal."""
+    slices give the io-map, the block Toeplitz matrix of `_markov`."""
     E, M, C, D = step
     if out is None:
         blocks = [M[..., inp]]
         for _ in range(n_steps - 1):
             blocks.append(E @ blocks[-1])
         return np.concatenate(blocks[::-1], axis=-1)
-    C = C[..., out, :]
-    if inp is None:
-        blocks = [C]
-        for _ in range(n_steps - 1):
-            blocks.append(blocks[-1] @ E)
-        return np.concatenate(blocks, axis=-2)
-    M, blocks, acc = M[:, inp], [D[out, inp]], C
+    if inp is not None:
+        return _block_toeplitz(_markov(step, out, inp, n_steps))
+    blocks = [C[..., out, :]]
     for _ in range(n_steps - 1):
-        blocks.append(acc @ M)
-        acc = acc @ E
-    return _block_toeplitz(np.concatenate(blocks), n_steps)
+        blocks.append(blocks[-1] @ E)
+    return np.concatenate(blocks, axis=-2)
 
 
 def quadruple_maps(r: Realization, g: TimeGrid) -> QuadrupleMaps:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ControllabilityError
 from .gramian import control_operator, observability_constant, surjectivity_radius
 from .grids import TimeGrid
-from .node import Realization, _grid_map, _spectral_norm, lifted_quadruple
+from .node import Realization, _markov, _spectral_norm, lifted_quadruple
 
 
 def _stable_a(rng: np.random.Generator, n: int, abscissa: float) -> np.ndarray:
@@ -36,8 +36,8 @@ def random_realization(
 
     When io_scale is given, C and D are jointly rescaled so the
     input-output matrix on `grid` (default: 48 steps to t=1.5) has spectral
-    norm io_scale; the map is linear in (C, D) so one norm evaluation
-    suffices.
+    norm io_scale; the map is linear in (C, D) so one norm evaluation, of
+    its Markov blocks, suffices.
     """
     a = _stable_a(rng, n, abscissa)
     b = rng.standard_normal((n, m))
@@ -47,7 +47,7 @@ def random_realization(
     if io_scale is None:
         return r
     g = grid if grid is not None else TimeGrid(1.5, 48)
-    norm = _spectral_norm(_grid_map(lifted_quadruple(r, g.dt), slice(None), slice(None), g.n_steps))
+    norm = _spectral_norm(_markov(lifted_quadruple(r, g.dt), slice(None), slice(None), g.n_steps))
     if norm == 0.0:
         return r
     s = io_scale / norm

@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regsys.beam
@@ -581,6 +581,18 @@ class TestModalEngine:
         expect = _closed_form_tip_slopes_mp(model, g, inputs)
         got = regsys.beam._forced_tip_slopes(model, g, inputs)
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    @given(omega=st.floats(1e-2, 1e3), dt=st.floats(1e-7, 1e-3))
+    @example(omega=3.515941631881908, dt=1e-3)  # the lowest mode of N = 200
+    def test_step_coefficients_do_not_cancel(self, omega, dt):
+        # (1 - cos omega dt) / omega^2 at omega dt << 1 against mpmath on the
+        # same float64 omega and dt; 1 - cos cancels there, and was off by
+        # 5.4e-12 relative at the lowest mode of N = 200 with dt = 1e-3
+        one_minus_cos = regsys.beam._step_coefficients(np.array([omega]), dt)[2][0]
+        with mp.workdps(40):
+            w = mp.mpf(omega)
+            want = float((1 - mp.cos(w * mp.mpf(dt))) / w**2)
+        assert abs(one_minus_cos - want) <= 4 * np.finfo(float).eps * want
 
     def test_forced_tip_slopes_edges(self):
         model = beam_model(16, "shear-input")

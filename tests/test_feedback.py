@@ -347,7 +347,8 @@ class TestCompositionSkeleton:
            theorem=st.sampled_from(sorted(_THEOREMS)))
     def test_stacked_blocks_match_separate_maps(self, seed, N, theorem):
         # F, F12, F21, F22 read off the stack's one step are the grid maps
-        # that main and each companion give on their own
+        # that main and each companion give on their own; the io-maps come
+        # as Markov blocks, whose block Toeplitz matrix is compared
         g = TimeGrid(1.5, N)
         instance, _ = _THEOREMS[theorem]
         systems = instance(np.random.default_rng(seed), g)
@@ -362,7 +363,11 @@ class TestCompositionSkeleton:
                       (qm[0].io_map, qm[0].output_map, qm[1].io_map, qm[1].output_map))
         step = lifted_quadruple(stack, g.dt)
         blocks = regsys.feedback._open_blocks(theorem, step, main.m, N)
+        io = {"across": [0, 1], "cross": [0, 2], "double": [0, 1, 2, 3]}[theorem]
+        assert [j for j, b in enumerate(blocks) if b.ndim == 3] == io
         for got, ref in zip(blocks, expect):
+            if got.ndim == 3:
+                got = _block_toeplitz(got)
             assert got.shape == ref.shape
             assert _rel_dev(got, ref) <= 1e-12
 
@@ -426,8 +431,8 @@ class TestCompositionSkeleton:
 
 class TestToeplitzRightSide:
     """For an io-map F12, X = (I - F)^-1 F12 is block lower-triangular
-    Toeplitz, so the right side solves only its first block column and
-    gathers the rest."""
+    Toeplitz, so the right side solves only its first block column, which
+    fixes the rest."""
 
     @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 64), m=st.integers(1, 3),
            q=st.integers(1, 3))
@@ -440,7 +445,7 @@ class TestToeplitzRightSide:
         loop = np.eye(N * m) - quadruple_maps(main, g).io_map
         f12 = quadruple_maps(pert, g).io_map
         col = np.linalg.solve(loop, f12[:, :q])
-        x = _block_toeplitz(col, N)
+        x = _block_toeplitz(col.reshape(N, m, q))
         assert _rel_dev(x, np.linalg.solve(loop, f12)) <= 1e-12
         ref = np.zeros((N * m, N * q))
         for i in range(N):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsys.feedback
+import regsys.node
 from regsys import (
     GridError,
     Realization,
@@ -32,10 +33,11 @@ from regsys import (
     quadruple_maps,
     random_realization,
     regularity_limit,
+    robustness_sweep,
     semigroup_step,
     transfer,
 )
-from regsys.node import _grid_map, _spectral_norm
+from regsys.node import _block_conv, _block_toeplitz, _grid_map, _spectral_norm
 
 
 def scalar_system(a=-1.0, b=1.0, c=2.0, d=0.0):
@@ -589,6 +591,32 @@ class TestSpectralNorm:
         random_realization(np.random.default_rng(3), 4, 2, 2, grid=g)
         assert large == []
 
+    def test_one_dense_toeplitz_per_composition_on_long_grids(self, monkeypatch):
+        # on the 256-step grid the io-maps travel as Markov blocks: each
+        # composition forms one dense block Toeplitz matrix, I - F for the
+        # LU gate, and the sweeps and random_realization form none
+        g = TimeGrid(1.5, 256)
+        calls = []
+
+        def spy(seq):
+            calls.append(np.shape(seq))
+            return _block_toeplitz(seq)
+
+        monkeypatch.setattr(regsys.node, "_block_toeplitz", spy)
+        monkeypatch.setattr(regsys.feedback, "_block_toeplitz", spy)
+        for instance, compose in ((across_instance, perturb_across), (cross_instance, perturb_cross),
+                                  (double_instance, perturb_double)):
+            systems = instance(np.random.default_rng(3), g)
+            assert calls == []
+            assert compose(*systems, g).deviation_time <= 1e-12
+            assert calls == [(256, 2, 2)]
+            calls.clear()
+        for instance, mode in ((across_instance, "across"), (cross_instance, "cross")):
+            main, pert = instance(np.random.default_rng(4), g)
+            robustness_sweep(main, pert, g, g.t_end, mode)
+        random_realization(np.random.default_rng(3), 4, 2, 2, grid=g)
+        assert calls == []
+
     def test_no_two_norm_outside_the_kernel(self):
         # every operator 2-norm in the package goes through _spectral_norm:
         # no norm(x, 2) and no ord=2 anywhere else in src/regsys
@@ -611,3 +639,89 @@ class TestSpectralNorm:
                 if ord_two or norm_two:
                     offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
         assert offenders == []
+
+
+def _draw_sequence(rng, N, p, m, decay, complex_):
+    seq = rng.standard_normal((N, p, m))
+    if complex_:
+        seq = seq + 1j * rng.standard_normal((N, p, m))
+    return seq * (decay ** np.arange(N))[:, None, None]
+
+
+class TestMarkovSequences:
+    """An io-map on the grid is the block lower-triangular Toeplitz matrix
+    of its Markov blocks. The sequence kernels, FFT convolution and the
+    Lanczos norm on FFT mat-vecs, must agree with the dense matrix."""
+
+    @given(N=st.integers(1, 64), p=st.integers(1, 3), k=st.integers(1, 3), m=st.integers(1, 3),
+           complex_=st.sampled_from(["neither", "a", "both"]), seed=st.integers(0, 2**32 - 1))
+    def test_block_conv_matches_dense_toeplitz_product(self, N, p, k, m, complex_, seed):
+        rng = np.random.default_rng(seed)
+        a = _draw_sequence(rng, N, p, k, 0.9, complex_ != "neither")
+        b = _draw_sequence(rng, N, k, m, 1.0, complex_ == "both")
+        got = _block_conv(a)(b)
+        assert got.shape == (N, p, m)
+        assert np.iscomplexobj(got) == (complex_ != "neither")
+        # T(a) times the block column b, and the Markov blocks of T(a) T(b)
+        bound = 4 * np.finfo(float).eps * N * np.max(np.abs(a)) * np.max(np.abs(b))
+        want = _block_toeplitz(a) @ b.reshape(N * k, m)
+        assert np.max(np.abs(got.reshape(N * p, m) - want)) <= bound
+        product = _block_toeplitz(a) @ _block_toeplitz(b)
+        assert np.max(np.abs(_block_toeplitz(got) - product)) <= bound
+
+    @given(large=st.booleans(), p=st.integers(1, 3), m=st.integers(1, 3),
+           decay=st.sampled_from([0.5, 0.9, 0.98, 1.0]), complex_=st.booleans(),
+           exponent=st.sampled_from([-600, 0, 600]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sequence_norm_matches_dense_norm(self, large, p, m, decay, complex_, exponent, seed):
+        # Gram size k = N min(p, m) below 256, where the sequence is
+        # densified, or from 256 to 600, where Lanczos runs on FFT mat-vecs
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(256, 601) if large else rng.integers(40, 256))
+        N = -(-k // min(p, m))
+        seq = _draw_sequence(rng, N, p, m, decay, complex_) * 2.0**exponent
+        got, want = _spectral_norm(seq), _spectral_norm(_block_toeplitz(seq))
+        if not large:
+            assert got == want
+        assert abs(got - want) <= 8 * np.finfo(float).eps * want
+
+    def test_block_conv_refuses_complex_input_to_a_real_sequence(self):
+        # the real transform of a real a has no room for a complex b
+        with pytest.raises(TypeError):
+            _block_conv(np.ones((4, 1, 1)))(np.ones((4, 1, 1)) * 1j)
+
+    def test_zero_sequence(self):
+        assert _spectral_norm(np.zeros((300, 2, 2))) == 0.0
+        assert _spectral_norm(np.zeros((0, 2, 2))) == 0.0
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("shape", [(200, 2, 3), (150, 3, 2)])
+    def test_uncertified_run_returns_the_dense_eigh_value(self, monkeypatch, shape, complex_):
+        # Lanczos is handed the Gram operator of the smaller side, T T^H or
+        # T^H T, by FFT mat-vecs; a run that does not certify leaves the
+        # value to the dense eigh of the densified matrix, and Lanczos is
+        # not run a second time on it
+        rng = np.random.default_rng(5)
+        seq = _draw_sequence(rng, *shape, 0.95, complex_)
+        scale = 2.0 ** np.frexp(np.max(np.abs(seq)))[1]
+        dense = _block_toeplitz(seq) / scale
+        small = dense @ dense.conj().T if shape[1] <= shape[2] else dense.conj().T @ dense
+        runs, eigh, sizes = [], scipy.linalg.eigh, []
+
+        def uncertified(gram, k, dtype):
+            runs.append(k)
+            v = rng.standard_normal(k) + (1j * rng.standard_normal(k) if complex_ else 0.0)
+            assert np.max(np.abs(gram(v) - small @ v)) <= 1e-13 * np.max(np.abs(small @ v))
+            return None
+
+        def spy(mat, *args, **kwargs):
+            sizes.append(np.shape(mat)[0])
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(regsys.node, "_lanczos_top", uncertified)
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        got = _spectral_norm(seq)
+        assert runs == [len(small)] == sizes
+        want = np.sqrt(eigh(small, eigvals_only=True)[-1]) * scale
+        assert abs(got - want) <= 4 * np.finfo(float).eps * want
+        assert abs(got - np.linalg.norm(_block_toeplitz(seq), 2)) <= 1e-13 * got
