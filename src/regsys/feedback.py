@@ -6,10 +6,10 @@ Verification strategy. The transfer-domain identities are checked on the
 continuous matrices at a handful of real frequencies, where they are exact
 resolvent algebra. The time-domain identities are checked in the discrete
 zero-order-hold world: the left side is assembled by closing the loop step
-by step (a per-step recursion on the lifted one-step matrices), the right
-side by the block-matrix composition formula. Both sides describe the same
-discrete object through different code paths, so they must agree to
-rounding, not merely to discretization order.
+by step (powers of the closed one-step matrices, independent of the block
+composition), the right side by the block-matrix composition formula. Both
+sides describe the same discrete object through different code paths, so
+they must agree to rounding, not merely to discretization order.
 
 The three compositions are one linear-fractional check, `_compose`, of
 identity feedback closed over the first m channels of a stack carrying the

@@ -7,9 +7,9 @@ the product M M*. A Lyapunov-equation route exists as an independent test
 oracle; the package itself has this one code path.
 
 The robustness sweep closes a scaled identity loop in the lifted one-step
-world (per-step recursion, not the block-composition formula, so the two
-stay independent code paths) and tracks the smallest singular value of the
-perturbed operator against the guaranteed Weyl-type lower bound.
+world (powers of the closed one-step matrices, independent of the block
+composition) and tracks the smallest singular value of the perturbed
+operator against the guaranteed Weyl-type lower bound.
 """
 
 from __future__ import annotations

@@ -22,7 +22,11 @@ the assembled matrices an exact discrete quadruple: the composition
 identities hold to machine precision, and the adjoint of the observation
 matrix is exactly the control matrix of the adjoint system on the
 time-reversed grid. Signal-level convenience maps sample pointwise
-instead, which is the natural thing to plot and serialize.
+instead, which is the natural thing to plot and serialize. Grid maps are
+power sequences C_bar E^j, E^j M, built by doubling (`_powers`); on purpose
+the semigroup samples, the independent side of `composition_deviations`,
+and the Signal maps, N mat-vecs where doubling would square E at n = 402 in
+the beam feed-in, stay sequential.
 
 Operator 2-norms (the gain-margin norms and the io-map norm that sampled
 systems are scaled by) all come from `_spectral_norm`, the top eigenvalue
@@ -122,18 +126,19 @@ def _lanczos_top(gram, k: int, dtype) -> float | None:
     basis = np.zeros((_LANCZOS_STEPS + 1, k), dtype=dtype)
     start = np.random.default_rng(0).standard_normal(k)
     basis[0] = start / np.linalg.norm(start)
-    alpha, beta = [], []
+    alpha, beta = np.zeros(_LANCZOS_STEPS), np.zeros(_LANCZOS_STEPS)
     for j in range(_LANCZOS_STEPS):
         q = basis[: j + 1]
         w = gram(q[j])
-        alpha.append(np.vdot(q[j], w).real)
+        alpha[j] = np.vdot(q[j], w).real
         for _ in range(2):
             w -= (q @ w.conj()).conj() @ q
         b = float(np.linalg.norm(w))
-        (theta,), s = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(j, j))
+        (theta,), s = scipy.linalg.eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(j, j),
+                                                    check_finite=False)
         if b * abs(s[-1, 0]) <= 4 * np.finfo(float).eps * max(theta, 0.0):
             return theta if theta > 0.0 else None
-        beta.append(b)
+        beta[j] = b
         basis[j + 1] = w / b
     return None
 
@@ -298,8 +303,8 @@ class QuadrupleMaps:
 
     @cached_property
     def semigroup_samples(self) -> np.ndarray:
-        """exp(A k dt), k = 0..n_steps, as sequential products of E; formed
-        when first read."""
+        """exp(A k dt), k = 0..n_steps, as sequential products of E, not by
+        doubling like the maps they check; formed when first read."""
         E = self.E
         samples = np.empty((self.grid.n_steps + 1,) + E.shape, dtype=E.dtype)
         samples[0] = np.eye(E.shape[0])
@@ -334,37 +339,41 @@ def _block_conv(a: np.ndarray):
     return lambda b: np.fft.irfft(np.einsum("fpk,fkm->fpm", fa, np.fft.rfft(b, n, axis=0)), n, axis=0)[:N]
 
 
+def _powers(x, E, n_steps: int, rows: bool) -> np.ndarray:
+    """[x E^j] (rows) or [E^j x] (columns), j < n_steps, on axis -3 by doubling: the known
+    powers times P = E^(2^i), then P squared; ceil(log2 n_steps) batched products."""
+    out, P = x[..., None, :, :], E[..., None, :, :]
+    while (have := out.shape[-3]) < n_steps:
+        P = P @ P if have > 1 else P
+        more = out[..., : n_steps - have, :, :]
+        out = np.concatenate((out, more @ P if rows else P @ more), axis=-3)
+    return out[..., :n_steps, :, :]
+
+
 def _markov(step: tuple, out, inp, n_steps: int) -> np.ndarray:
-    """Markov blocks (n_steps, p, m) of the io-map of step = (E, M, C_bar,
-    D_bar) from the channels inp to the channels out (slices): D_bar, then
-    C_bar E^(j-1) M by forward accumulation."""
+    """Markov blocks (..., n_steps, p, m) of the io-map of step = (E, M,
+    C_bar, D_bar) from the channels inp to the channels out (slices): D_bar,
+    then C_bar E^(j-1) M, the powers by doubling (`_powers`)."""
     E, M, C, D = step
-    M, blocks, acc = M[:, inp], [D[out, inp]], C[out]
-    for _ in range(n_steps - 1):
-        blocks.append(acc @ M)
-        acc = acc @ E
-    return np.stack(blocks)
+    rest = _powers(C[..., out, :], E, n_steps - 1, True) @ M[..., None, :, inp]
+    return np.concatenate((D[..., None, out, inp], rest), axis=-3)
 
 
 def _grid_map(step: tuple, out, inp, n_steps: int) -> np.ndarray:
     """Grid map of the one-step quadruple step = (E, M, C_bar, D_bar) from
     the input channels inp to the output channels out, both slices; None
     stands for the state. out=None gives the input map [E^(N-1) M, ..., E M,
-    M] and inp=None the output map [C; C E; ...; C E^(N-1)], both by forward
-    accumulation with leading (batch) axes of the step carried through. Two
+    M] and inp=None the output map [C; C E; ...; C E^(N-1)], both by doubling
+    (`_powers`) with leading (batch) axes of the step carried through. Two
     slices give the io-map, the block Toeplitz matrix of `_markov`."""
     E, M, C, D = step
     if out is None:
-        blocks = [M[..., inp]]
-        for _ in range(n_steps - 1):
-            blocks.append(E @ blocks[-1])
-        return np.concatenate(blocks[::-1], axis=-1)
+        cols = _powers(M[..., inp], E, n_steps, False)[..., ::-1, :, :]
+        return np.moveaxis(cols, -3, -2).reshape(cols.shape[:-3] + (E.shape[-1], n_steps * cols.shape[-1]))
     if inp is not None:
         return _block_toeplitz(_markov(step, out, inp, n_steps))
-    blocks = [C[..., out, :]]
-    for _ in range(n_steps - 1):
-        blocks.append(blocks[-1] @ E)
-    return np.concatenate(blocks, axis=-2)
+    rows = _powers(C[..., out, :], E, n_steps, True)
+    return rows.reshape(rows.shape[:-3] + (n_steps * rows.shape[-2], E.shape[-1]))
 
 
 def quadruple_maps(r: Realization, g: TimeGrid) -> QuadrupleMaps:

@@ -300,6 +300,20 @@ class TestRobustnessSweep:
         assert calls == {"lifted_quadruple": 1}
 
     @pytest.mark.parametrize("mode", ["across", "cross"])
+    def test_every_gain_refused_gives_zero_sigma(self, mode):
+        # k_grid = 1/eig(D_bar): the gate refuses every gain, so the batch of
+        # closed steps is empty and every point reads sigma 0.0
+        g = TimeGrid(1.5, 16)
+        main, pert = (across_instance if mode == "across" else cross_instance)(np.random.default_rng(0), g)
+        lam = np.linalg.eigvals(lifted_quadruple(main, g.dt)[3])
+        assert np.all(lam.imag == 0.0) and np.all(lam != 0.0)
+        ks = np.sort(1.0 / lam.real)
+        rep = robustness_sweep(main, pert, g, g.t_end, mode, k_grid=ks)
+        np.testing.assert_array_equal(rep.k_values, ks)
+        np.testing.assert_array_equal(rep.sigma_min, np.zeros(len(ks)))
+        assert not rep.within_bound.any() and rep.k_star == ks[0]
+
+    @pytest.mark.parametrize("mode", ["across", "cross"])
     def test_batched_sweep_matches_per_point_loop(self, mode):
         instance = across_instance if mode == "across" else cross_instance
         rng = np.random.default_rng(15)

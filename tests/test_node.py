@@ -37,7 +37,7 @@ from regsys import (
     semigroup_step,
     transfer,
 )
-from regsys.node import _block_conv, _block_toeplitz, _grid_map, _spectral_norm
+from regsys.node import _block_conv, _block_toeplitz, _grid_map, _markov, _spectral_norm
 
 
 def scalar_system(a=-1.0, b=1.0, c=2.0, d=0.0):
@@ -294,16 +294,14 @@ class TestGridMaps:
         n, m, p, N = 3, 2, 4, 7
         E, M = rng.standard_normal((n, n)), rng.standard_normal((n, m))
         C, D = rng.standard_normal((p, n)), rng.standard_normal((p, m))
-        blocks = [D]
-        acc = C
-        for _ in range(N - 1):
-            blocks.append(acc @ M)
-            acc = acc @ E
+        # the layout alone: the blocks are `_markov`'s, whose values
+        # TestPowerSequences checks against the per-step recursion
+        every = slice(None)
+        blocks = _markov((E, M, C, D), every, every, N)
         ref = np.zeros((N * p, N * m))
         for i in range(N):
             for k in range(i + 1):
                 ref[i * p : (i + 1) * p, k * m : (k + 1) * m] = blocks[i - k]
-        every = slice(None)
         fio = _grid_map((E, M, C, D), every, every, N)
         assert fio.flags.c_contiguous
         np.testing.assert_array_equal(fio, ref)
@@ -639,6 +637,58 @@ class TestSpectralNorm:
                 if ord_two or norm_two:
                     offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
         assert offenders == []
+
+
+def _per_step_powers(x, E, count, rows):
+    """[x E^j] (rows) or [E^j x] (columns), j < count, one product per step."""
+    blocks = [x]
+    for _ in range(count - 1):
+        blocks.append(blocks[-1] @ E if rows else E @ blocks[-1])
+    return blocks
+
+
+class TestPowerSequences:
+    """Every grid map is a power sequence C_bar E^j or E^j M of the lifted
+    step, built by doubling; the per-step recursion is the oracle. Both
+    orders form each block as a product of at most N + 1 factors, so under
+    the standard model (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.5) each is within N n eps times the product
+    of its factors' Frobenius norms of the exact block, to first order; the
+    bound below is twice that."""
+
+    @given(N=st.sampled_from([1, 2, 3, 7, 64, 257]), n=st.integers(1, 5), m=st.integers(1, 5),
+           p=st.integers(1, 5), batch=st.sampled_from([(), (0,), (1,), (3,)]), complex_=st.booleans(),
+           e_norm=st.sampled_from([0.5, 0.95, 1.05]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_doubling_matches_per_step_recursion(self, N, n, m, p, batch, complex_, e_norm, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            a = rng.standard_normal(batch + shape)
+            return a + 1j * rng.standard_normal(batch + shape) if complex_ else a
+
+        E, M, C, D = draw(n, n), draw(n, m), draw(p, n), draw(p, m)
+        E *= e_norm / np.maximum(np.linalg.norm(E, axis=(-2, -1)), 1e-300)[..., None, None]
+        fro = lambda a: np.linalg.norm(a, axis=(-2, -1))[..., None, None]  # noqa: E731
+        eps, step, every = np.finfo(float).eps, (E, M, C, D), slice(None)
+        powers = fro(E)[..., None, :, :] ** np.arange(N)[:, None, None]  # ||E||^j, on axis -3
+
+        def close(got, want, tol):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= tol)
+
+        rows = np.stack(_per_step_powers(C, E, N, True), axis=-3)
+        tol = 2 * N * n * eps * fro(C)[..., None, :, :] * powers
+        close(_grid_map(step, every, None, N), rows.reshape(batch + (N * p, n)),
+              np.broadcast_to(tol, rows.shape).reshape(batch + (N * p, n)))
+        cols = np.stack(_per_step_powers(M, E, N, False)[::-1], axis=-2)
+        tol = np.moveaxis(2 * N * n * eps * fro(M)[..., None, :, :] * powers[..., ::-1, :, :], -3, -2)
+        close(_grid_map(step, None, every, N), cols.reshape(batch + (n, N * m)),
+              np.broadcast_to(tol, cols.shape).reshape(batch + (n, N * m)))
+        markov = np.concatenate((D[..., None, :, :], rows[..., : N - 1, :, :] @ M[..., None, :, :]), axis=-3)
+        tol = np.concatenate((np.zeros(batch + (1, 1, 1)), 2 * N * n * eps * (fro(C) * fro(M))[..., None, :, :]
+                              * powers[..., : N - 1, :, :]), axis=-3)
+        close(_markov(step, every, every, N), markov, tol)
 
 
 def _draw_sequence(rng, N, p, m, decay, complex_):
