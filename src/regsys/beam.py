@@ -28,10 +28,13 @@ not depend on the LAPACK build. `simulate` is the full nodal
 path: displacement and velocity at every node and time, every functional
 of them, and the energy refused on drift at every node. The verification
 drivers evaluate no nodal energy: each trial's drift is certified at every
-t from its initial mode amplitudes and the basis defects, the traces
-w_x(1) and w_xx(0) are modal rows applied to the rotation tables, and the
-forced tip slopes are every trial's held shear convolved, by one real FFT,
-with the closed-form modal impulse response.
+t from its initial mode amplitudes and the basis defects, with no table
+built; the one trace a driver reads, w_x(1) or w_xx(0), is its modal row
+applied to the rotation tables; and the forced tip slopes are every
+trial's held shear convolved, by one real FFT, with the closed-form modal
+impulse response. Every cos/sin table comes from `_phase_tables`, by angle
+addition over about sqrt(n) evaluations per mode. The basis depends on N
+alone, so the bound drivers take a shared model of any mode.
 """
 
 from __future__ import annotations
@@ -315,17 +318,45 @@ def _functional_trace(model: BeamModel, g: TimeGrid, w: np.ndarray, v: np.ndarra
     return FunctionalTrace(grid=g, F=F, rho=rho, rho1=rho1, w_x_1=wx1, w_xx_0=wxx0)
 
 
-def _rotation_tables(omega: np.ndarray, times: np.ndarray) -> tuple:
-    """Exact modal rotation from t = 0, modes by times: eta(t) = cos * eta0
-    + sinc * etadot0, with sinc = sin(omega t) / omega (t for a zero mode).
-    Built in place, so no more than the two tables are ever held."""
-    coswt = np.outer(omega, times)
-    sinc = np.sin(coswt)
-    np.cos(coswt, out=coswt)
+def _phase_tables(omega: np.ndarray, dt: float, n: int, offset: float = 0.0,
+                  cosine: bool = True) -> tuple:
+    """(cos, sin) of omega (j + offset) dt, modes by j < n; cos is None
+    when not asked for. By angle addition over j = a B + b, B = ceil(sqrt n):
+    each mode takes 2 ceil(sqrt n) transcendental calls, not 2 n, and the
+    products are written into the tables block by block, so no temporary of
+    their size is made. Each table is the transpose of a j-major array, so
+    every block it is written in is contiguous."""
+    width = math.isqrt(max(n - 1, 0)) + 1
+    inner = np.multiply.outer((np.arange(width) + offset) * dt, omega)
+    outer = np.multiply.outer(np.arange(0, n, width) * dt, omega)
+    cb, sb, ca, sa = np.cos(inner), np.sin(inner), np.cos(outer), np.sin(outer)
+    cos = np.empty((n, len(omega))) if cosine else None
+    sin = np.empty((n, len(omega)))
+    for a, lo in enumerate(range(0, n, width)):
+        hi = min(lo + width, n)
+        if cosine:
+            np.multiply(cb[:hi - lo], ca[a], out=cos[lo:hi])
+            cos[lo:hi] -= sb[:hi - lo] * sa[a]
+        np.multiply(cb[:hi - lo], sa[a], out=sin[lo:hi])
+        sin[lo:hi] += sb[:hi - lo] * ca[a]
+    return (cos.T if cosine else None), sin.T
+
+
+def _divide_by_omega(sine: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
+    """sin(omega j dt) / omega in place of the sine table: j dt for a zero mode."""
     positive = omega > 0
-    sinc /= np.where(positive, omega, 1.0)[:, None]
-    sinc[~positive] = times
-    return coswt, sinc
+    sine /= np.where(positive, omega, 1.0)[:, None]
+    sine[~positive] = np.arange(sine.shape[1]) * dt
+    return sine
+
+
+def _rotation_tables(omega: np.ndarray, dt: float, n: int) -> tuple:
+    """Exact modal rotation from t = 0, modes by the n grid times j dt:
+    eta(t) = cos * eta0 + sinc * etadot0, sinc = sin(omega t) / omega (t for
+    a zero mode). The sine table of `_phase_tables` is divided in place, so
+    no more than the two tables are ever held."""
+    cos, sin = _phase_tables(omega, dt, n)
+    return cos, _divide_by_omega(sin, omega, dt)
 
 
 def _step_coefficients(omega: np.ndarray, dt: float) -> tuple:
@@ -378,10 +409,9 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
         eta0 = proj @ state0.w
         etadot0 = proj @ state0.v
         if u is None:
-            coswt, sinc = _rotation_tables(omega, times)
-            msin = -omega[:, None] * np.sin(np.outer(omega, times))
-            eta = coswt * eta0[:, None] + sinc * etadot0[:, None]
-            etadot = msin * eta0[:, None] + coswt * etadot0[:, None]
+            coswt, sinwt = _phase_tables(omega, g.dt, len(times))
+            etadot = (-omega[:, None] * sinwt) * eta0[:, None] + coswt * etadot0[:, None]
+            eta = coswt * eta0[:, None] + _divide_by_omega(sinwt, omega, g.dt) * etadot0[:, None]
             w = (V @ eta).T
             v = (V @ etadot).T
         else:
@@ -416,25 +446,34 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
     return BeamTrajectory(model=model, grid=g, w=w, v=v, trace=trace)
 
 
-def _free_trials(model: BeamModel, g: TimeGrid, rng: np.random.Generator,
-                 trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F(0), [int w_x(1)^2, int w_xx(0)^2] and the certified drift of
-    `_certified_drift` for `trials` random smooth homogeneous states, drawn
-    in turn from rng. No nodal energy: the traces are modal rows applied to
-    eta(t), one product per rotation table over all trials."""
-    omega, V = model.modal_basis()
+def _free_states(model: BeamModel, rng: np.random.Generator, trials: int) -> tuple:
+    """(eta0, etadot0, F(0), drift): the initial modal coordinates (modes x
+    trials) of `trials` random smooth homogeneous states, drawn in turn from
+    rng, with the F(0) and certified drift of `_certified_drift`. No table
+    is built."""
+    _, V = model.modal_basis()
     w0, v0 = np.empty((2, model.n_dof, trials))
     for i in range(trials):
         state0 = random_smooth_state(model, rng)
         w0[:, i], v0[:, i] = state0.w, state0.v
     proj = V.T * model.masses[None, :]
     eta0, etadot0 = proj @ w0, proj @ v0
-    f0, drift = _certified_drift(model, eta0, etadot0)
-    coswt, sinc = _rotation_tables(omega, g.nodes)
-    trace_rows = np.stack([model.slope_tip_row @ V, model.curvature_rows[0] @ V])
-    traces = (eta0.T[:, None, :] * trace_rows).reshape(2 * trials, model.n_dof) @ coswt
-    traces += (etadot0.T[:, None, :] * trace_rows).reshape(2 * trials, model.n_dof) @ sinc
-    return f0, _trapezoid_rows(traces**2, g.dt).reshape(trials, 2), drift
+    return (eta0, etadot0, *_certified_drift(model, eta0, etadot0))
+
+
+def _free_trials(model: BeamModel, g: TimeGrid, rng: np.random.Generator, trials: int,
+                 row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(0) and int_0^T (row . w(t))^2 dt for the `trials` states of
+    `_free_states`, row a nodal trace row (the tip slope or the root
+    curvature). No nodal energy: the trace is the modal row applied to
+    eta(t), one product per rotation table over all trials."""
+    omega, V = model.modal_basis()
+    eta0, etadot0, f0, _ = _free_states(model, rng, trials)
+    coswt, sinc = _rotation_tables(omega, g.dt, len(g))
+    modal_row = row @ V
+    traces = (eta0.T * modal_row) @ coswt
+    traces += (etadot0.T * modal_row) @ sinc
+    return f0, _trapezoid_rows(traces**2, g.dt)
 
 
 def _certified_drift(model: BeamModel, eta0: np.ndarray, etadot0: np.ndarray) -> tuple:
@@ -471,13 +510,12 @@ def _forced_tip_slopes(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.
     shear samples u (trials x grid nodes), by one real FFT. A unit shear held
     over one step moves mode k, i steps later, by force_k 2 sin(omega_k dt/2)
     sin(omega_k (i+1/2) dt) / omega_k^2 (cos - cos, no cancellation; dt^2 (i+1/2)
-    at omega_k = 0), so h is one modes x steps sine table read by the tip slope."""
+    at omega_k = 0), so h is one modes x steps sine table of `_phase_tables`,
+    offset 1/2, read by the tip slope."""
     omega, V = model.modal_basis()
     n, positive = g.n_steps, omega > 0
-    mid = (np.arange(n) + 0.5) * g.dt
-    table = np.outer(omega, mid)
-    np.sin(table, out=table)
-    table[~positive] = mid
+    table = _phase_tables(omega, g.dt, n, 0.5, cosine=False)[1]
+    table[~positive] = (np.arange(n) + 0.5) * g.dt
     scale = np.where(positive, 2.0 * np.sin(omega * g.dt / 2.0) / np.where(positive, omega, 1.0) ** 2, g.dt)
     h = ((model.slope_tip_row @ V) * -V[-1] * scale) @ table
     size = 1 << (2 * n - 2).bit_length()  # at least 2n - 1: no wrap-around
@@ -641,16 +679,26 @@ def _driver_grid(T: float, n_steps: int | None, trials: int) -> TimeGrid:
     return TimeGrid(T, n_steps if n_steps is not None else max(int(round(T / 1e-3)), 100))
 
 
+def _driver_model(N: int, mode: str, model: BeamModel | None) -> BeamModel:
+    """The beam of N nodes in `mode`, or `model` when a caller shares one:
+    the basis depends on N alone, so a model of any mode serves."""
+    if model is None:
+        return beam_model(N, mode)
+    if model.N != N:
+        raise ShapeError(f"the shared model has N={model.N}, not {N}")
+    return model
+
+
 def verify_admissibility_bound(N: int, T: float, trials: int, seed: int = 0,
-                               n_steps: int | None = None) -> dict:
+                               n_steps: int | None = None, *, model: BeamModel | None = None) -> dict:
     """Check int_0^T w_x(1)^2 dt <= (3T + 2) F(0) (1 + 0.05) over random
-    smooth homogeneous states. Reports the worst ratio."""
+    smooth homogeneous states. Reports the worst ratio. `model`, a beam of
+    the same N in any mode, lends its modal basis."""
     g = _driver_grid(T, n_steps, trials)
-    model = beam_model(N, "homogeneous")
-    rng = np.random.default_rng(seed)
+    model = _driver_model(N, "homogeneous", model)
     bound_factor = 3.0 * T + 2.0
-    f0, integrals, _ = _free_trials(model, g, rng, trials)
-    worst = float(np.max(integrals[:, 0] / (bound_factor * f0), initial=0.0))
+    f0, integral = _free_trials(model, g, np.random.default_rng(seed), trials, model.slope_tip_row)
+    worst = float(np.max(integral / (bound_factor * f0), initial=0.0))
     return {"bound": bound_factor, "worst_ratio": worst, "trials": trials,
             "N": N, "T": T, "passed": bool(worst <= 1.05)}
 
@@ -666,12 +714,14 @@ def wellposedness_constant(T: float, delta: float) -> float:
 
 
 def verify_wellposedness_bound(N: int, T: float, delta: float, input_trials: int,
-                               seed: int = 0, n_steps: int | None = None) -> dict:
+                               seed: int = 0, n_steps: int | None = None, *,
+                               model: BeamModel | None = None) -> dict:
     """Check int_0^T w_x(1)^2 dt <= (1 + 3T) C_{delta,T} int_0^T u^2 dt
-    (1 + 0.05) for random smooth inputs from rest."""
+    (1 + 0.05) for random smooth inputs from rest. `model`, a beam of the
+    same N in any mode, lends its modal basis."""
     c_const = wellposedness_constant(T, delta)
     g = _driver_grid(T, n_steps, input_trials)
-    model = beam_model(N, "shear-input")
+    model = _driver_model(N, "shear-input", model)
     rng = np.random.default_rng(seed)
     factor = (1.0 + 3.0 * T) * c_const
     inputs = np.array([_smooth_input(g, rng).values[:, 0].real
@@ -692,9 +742,8 @@ def verify_observability(N: int, T: float, trials: int, seed: int = 0,
         raise ValueError(f"the lower bound is vacuous for T <= 2, got T={T}")
     g = _driver_grid(T, n_steps, trials)
     model = beam_model(N, "homogeneous")
-    rng = np.random.default_rng(seed)
     bound_factor = T - 2.0
-    f0, integrals, _ = _free_trials(model, g, rng, trials)
-    worst = float(np.min(integrals[:, 1] / (bound_factor * f0), initial=math.inf))
+    f0, integral = _free_trials(model, g, np.random.default_rng(seed), trials, model.curvature_rows[0])
+    worst = float(np.min(integral / (bound_factor * f0), initial=math.inf))
     return {"bound": bound_factor, "worst_ratio": worst, "trials": trials,
             "N": N, "T": T, "passed": bool(worst >= 0.95)}

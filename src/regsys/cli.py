@@ -24,7 +24,7 @@ from .beam import (
     BeamState,
     _closed_loop_roots,
     _forced_tip_slopes,
-    _free_trials,
+    _free_states,
     _smooth_input,
     beam_model,
     beam_transfer_H,
@@ -248,13 +248,12 @@ def _run_beam_transfer(cfg: dict):
 def _run_beam_bounds(cfg: dict):
     seed = cfg["seed"]
     N, T, delta, trials = cfg["N"], cfg["T"], cfg["delta"], cfg["trials"]
-    adm = verify_admissibility_bound(N, T, trials, seed=seed)
-    wp = verify_wellposedness_bound(N, T, delta, trials, seed=seed + 1)
-
-    # the drift loop and the top refinement level share one model and basis
+    # both bounds, the drift loop and the top refinement level share one
+    # model and basis; the drift loop reads F(0) and its certificate only
     model = beam_model(N, "homogeneous")
-    _, _, drift = _free_trials(model, TimeGrid(4.0, 2000),
-                               np.random.default_rng(seed + 2), min(trials, 10))
+    adm = verify_admissibility_bound(N, T, trials, seed=seed, model=model)
+    wp = verify_wellposedness_bound(N, T, delta, trials, seed=seed + 1, model=model)
+    *_, drift = _free_states(model, np.random.default_rng(seed + 2), min(trials, 10))
     worst_drift = float(np.max(drift))
 
     residuals = {"rho": [], "rho1": []}

@@ -221,12 +221,19 @@ def robustness_sweep(
     records the first grid gain k_star at which the verdict fails (None if
     it never fails) and the margin k_star / bound_gain.
 
-    Refuses (ShapeError) a companion that does not share A and C (across)
-    or A and B (cross), and (ControllabilityError) when the base perturbed
-    operator is not bounded below at t0.
+    Refuses (ValueError) a grid gain that is negative or not finite, since
+    the Weyl bound holds only for 0 <= k; (ShapeError) a companion that
+    does not share A and C (across) or A and B (cross); and
+    (ControllabilityError) a base perturbed operator that is not bounded
+    below at t0.
     """
     if mode not in ("across", "cross"):
         raise ValueError(f"mode must be 'across' or 'cross', got {mode!r}")
+    if k_grid is not None:
+        k_grid = np.asarray(k_grid, dtype=float)
+        bad = ~(np.isfinite(k_grid) & (k_grid >= 0.0))
+        if bad.any():
+            raise ValueError(f"every gain must be finite and nonnegative, got {k_grid[bad][0]}")
     stack = _companion_stack(mode, main, pert)
     sub = _prefix_grid(g, t0)
     n_steps, m = sub.n_steps, main.m
@@ -249,7 +256,6 @@ def robustness_sweep(
 
     if k_grid is None:
         k_grid = np.logspace(np.log10(bound_gain) - 3, np.log10(2.0 * bound_gain), 32)
-    k_grid = np.asarray(k_grid, dtype=float)
 
     live, S = np.ones(k_grid.shape, dtype=bool), []
     for j, k in enumerate(k_grid):

@@ -526,7 +526,7 @@ class TestModalEngine:
         # at every node of the same grid, from the same state
         model = beam_model(N)
         g = TimeGrid(T, int(round(150 * T)))
-        _, _, drift = regsys.beam._free_trials(model, g, np.random.default_rng(seed), 1)
+        drift = regsys.beam._free_states(model, np.random.default_rng(seed), 1)[3]
         state0 = random_smooth_state(model, np.random.default_rng(seed))
         F = simulate(model, g, state0=state0).trace.F
         assert drift[0] >= np.max(np.abs(F - F[0])) / F[0]
@@ -536,8 +536,7 @@ class TestModalEngine:
         # certificate must stay far below the 1e-8 gate
         assert verify_observability(N=1000, T=4.0, trials=2)["passed"] is True
         for N in (800, 1000):
-            _, _, drift = regsys.beam._free_trials(beam_model(N), TimeGrid(4.0, 4000),
-                                                   np.random.default_rng(0), 2)
+            drift = regsys.beam._free_states(beam_model(N), np.random.default_rng(0), 2)[3]
             assert np.max(drift) <= 1e-10, N
 
     def test_zero_trials(self):
@@ -547,13 +546,13 @@ class TestModalEngine:
     def test_free_trials_holds_two_rotation_tables(self):
         g = TimeGrid(4.0, 4000)
         omega, _ = beam_model(200).modal_basis()
-        table_bytes = regsys.beam._rotation_tables(omega, g.nodes)[0].nbytes
+        table_bytes = regsys.beam._rotation_tables(omega, g.dt, len(g))[0].nbytes
         tracemalloc.start()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         try:
-            regsys.beam._free_trials(beam_model(200), TimeGrid(4.0, 4000),
-                                     np.random.default_rng(0), 5)
+            model = beam_model(200)
+            regsys.beam._free_trials(model, g, np.random.default_rng(0), 5, model.slope_tip_row)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -691,6 +690,69 @@ class TestModalEngine:
         assert regsys.beam._closed_loop_roots(fake, k, stuck) is None
         with pytest.raises(ShapeError):
             regsys.beam._closed_loop_roots(fake, k, oracle[:4])
+
+    @given(n=st.sampled_from([1, 2, 3, 16, 17, 4001]), offset=st.sampled_from([0.0, 0.5]),
+           omega=st.lists(st.floats(0.0, 2e5), min_size=0, max_size=6), dt=st.floats(1e-6, 0.1))
+    @settings(max_examples=60, deadline=None)
+    def test_phase_tables_match_direct_evaluation(self, n, offset, omega, dt):
+        # angle addition against np.cos/np.sin of the same float64 argument:
+        # both round the argument, so the bound is 8 eps (1 + |theta|)
+        omega = np.array([0.0] + omega)
+        theta = np.outer(omega, (np.arange(n) + offset) * dt)
+        cos, sin = regsys.beam._phase_tables(omega, dt, n, offset)
+        tol = 8.0 * np.finfo(float).eps * (1.0 + np.abs(theta))
+        assert cos.shape == sin.shape == theta.shape
+        assert np.all(np.abs(cos - np.cos(theta)) <= tol)
+        assert np.all(np.abs(sin - np.sin(theta)) <= tol)
+        no_cos, sin_only = regsys.beam._phase_tables(omega, dt, n, offset, cosine=False)
+        assert no_cos is None and np.array_equal(sin_only, sin)
+
+    def test_beam_bounds_one_basis_per_level(self, monkeypatch):
+        # levels N/4, N/2 and N: both bound drivers, the drift loop and the
+        # top level share the N-level basis, so one SVD per distinct level
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape[0] - 1)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        report = regsys.cli.run({"kind": "beam-bounds", "N": 32, "trials": 3})
+        assert report["passed"] and sorted(calls) == [8, 16, 32]
+
+    def test_drift_loop_builds_no_phase_table(self, monkeypatch):
+        # before the refinement levels, only the two bound drivers build
+        # tables: the rotation pair of admissibility (T = 1, dt = 1e-3) and
+        # the half-step sine table of well-posedness; the drift loop needs none
+        tables = []
+        real = regsys.beam._phase_tables
+
+        def recording(omega, dt, n, offset=0.0, cosine=True):
+            tables.append((n, offset, cosine))
+            return real(omega, dt, n, offset, cosine)
+
+        class Reached(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(regsys.beam, "_phase_tables", recording)
+        monkeypatch.setattr(regsys.cli, "simulate", stop)
+        with pytest.raises(Reached):
+            regsys.cli.run({"kind": "beam-bounds", "N": 32, "trials": 3})
+        assert tables == [(1001, 0.0, True), (1000, 0.5, False)]
+
+    def test_shared_model_gives_the_same_reports(self):
+        model = beam_model(20, "homogeneous")
+        shared = (verify_admissibility_bound(20, 0.5, 3, n_steps=100, model=model),
+                  verify_wellposedness_bound(20, 0.5, 0.1, 3, n_steps=100, model=model))
+        alone = (verify_admissibility_bound(20, 0.5, 3, n_steps=100),
+                 verify_wellposedness_bound(20, 0.5, 0.1, 3, n_steps=100))
+        assert shared == alone
+        with pytest.raises(ShapeError, match="N=16, not 20"):
+            verify_admissibility_bound(20, 0.5, 3, n_steps=100, model=beam_model(16))
 
     def test_basis_is_cached_and_read_only(self):
         model = beam_model(20)

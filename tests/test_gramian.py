@@ -301,17 +301,37 @@ class TestRobustnessSweep:
 
     @pytest.mark.parametrize("mode", ["across", "cross"])
     def test_every_gain_refused_gives_zero_sigma(self, mode):
-        # k_grid = 1/eig(D_bar): the gate refuses every gain, so the batch of
-        # closed steps is empty and every point reads sigma 0.0
+        # k_grid = 1/eig(D_bar) over the real positive eigenvalues: the gate
+        # refuses every gain, so the batch of closed steps is empty and every
+        # point reads sigma 0.0
         g = TimeGrid(1.5, 16)
-        main, pert = (across_instance if mode == "across" else cross_instance)(np.random.default_rng(0), g)
-        lam = np.linalg.eigvals(lifted_quadruple(main, g.dt)[3])
-        assert np.all(lam.imag == 0.0) and np.all(lam != 0.0)
-        ks = np.sort(1.0 / lam.real)
+        instance, rng = across_instance if mode == "across" else cross_instance, np.random.default_rng(0)
+        while True:
+            main, pert = instance(rng, g)
+            lam = np.linalg.eigvals(lifted_quadruple(main, g.dt)[3])
+            positive = lam.real[(lam.imag == 0.0) & (lam.real > 0.0)]
+            if positive.size:
+                break
+        ks = np.sort(1.0 / positive)
         rep = robustness_sweep(main, pert, g, g.t_end, mode, k_grid=ks)
         np.testing.assert_array_equal(rep.k_values, ks)
         np.testing.assert_array_equal(rep.sigma_min, np.zeros(len(ks)))
         assert not rep.within_bound.any() and rep.k_star == ks[0]
+
+    @pytest.mark.parametrize("mode", ["across", "cross"])
+    @pytest.mark.parametrize("bad", [-5.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_negative_or_nonfinite_gain_refused(self, monkeypatch, mode, bad):
+        # the Weyl bound holds only for 0 <= k: the first such gain is named
+        # before any lifted step is taken
+        main, pert = (across_instance if mode == "across" else cross_instance)(
+            np.random.default_rng(0), GRID)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a lifted step was taken before the gains were checked")
+
+        monkeypatch.setattr(regsys.gramian, "lifted_quadruple", unreachable)
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}"):
+            robustness_sweep(main, pert, GRID, GRID.t_end, mode, k_grid=[0.0, 0.01, bad, -7.0])
 
     @pytest.mark.parametrize("mode", ["across", "cross"])
     def test_batched_sweep_matches_per_point_loop(self, mode):
