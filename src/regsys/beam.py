@@ -120,7 +120,9 @@ class BeamModel:
     def modal_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """(omega, V) with S V = M V diag(omega^2) and V' M V = I.
 
-        Computed once per model; the arrays are shared and read-only."""
+        Every omega_k > 0: S = P'P with P = `_energy_rows` triangular with a
+        nonzero diagonal. Computed once per model; the arrays are shared and
+        read-only."""
         return self._basis
 
     @cached_property
@@ -342,21 +344,14 @@ def _phase_tables(omega: np.ndarray, dt: float, n: int, offset: float = 0.0,
     return (cos.T if cosine else None), sin.T
 
 
-def _divide_by_omega(sine: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    """sin(omega j dt) / omega in place of the sine table: j dt for a zero mode."""
-    positive = omega > 0
-    sine /= np.where(positive, omega, 1.0)[:, None]
-    sine[~positive] = np.arange(sine.shape[1]) * dt
-    return sine
-
-
 def _rotation_tables(omega: np.ndarray, dt: float, n: int) -> tuple:
     """Exact modal rotation from t = 0, modes by the n grid times j dt:
-    eta(t) = cos * eta0 + sinc * etadot0, sinc = sin(omega t) / omega (t for
-    a zero mode). The sine table of `_phase_tables` is divided in place, so
-    no more than the two tables are ever held."""
+    eta(t) = cos * eta0 + sinc * etadot0, sinc = sin(omega t) / omega. The
+    sine table of `_phase_tables` is divided in place, so no more than the
+    two tables are ever held."""
     cos, sin = _phase_tables(omega, dt, n)
-    return cos, _divide_by_omega(sin, omega, dt)
+    sin /= omega[:, None]
+    return cos, sin
 
 
 def _step_coefficients(omega: np.ndarray, dt: float) -> tuple:
@@ -364,11 +359,7 @@ def _step_coefficients(omega: np.ndarray, dt: float) -> tuple:
     sinc etadot + one_minus_cos phi and etadot' = ms eta + c etadot + sinc phi,
     one_minus_cos as 2 sin^2(omega dt / 2) / omega^2: no cancellation."""
     c, s = np.cos(omega * dt), np.sin(omega * dt)
-    sinc = np.where(omega > 0, s / np.where(omega > 0, omega, 1.0), dt)
-    one_minus_cos = np.where(
-        omega > 0, 2.0 * np.sin(omega * dt / 2.0) ** 2 / np.where(omega > 0, omega**2, 1.0), dt**2 / 2.0
-    )
-    return c, sinc, one_minus_cos, -omega * s
+    return c, s / omega, 2.0 * np.sin(omega * dt / 2.0) ** 2 / omega**2, -omega * s
 
 
 def _require_conserved(F: np.ndarray) -> float:
@@ -411,7 +402,8 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
         if u is None:
             coswt, sinwt = _phase_tables(omega, g.dt, len(times))
             etadot = (-omega[:, None] * sinwt) * eta0[:, None] + coswt * etadot0[:, None]
-            eta = coswt * eta0[:, None] + _divide_by_omega(sinwt, omega, g.dt) * etadot0[:, None]
+            sinwt /= omega[:, None]
+            eta = coswt * eta0[:, None] + sinwt * etadot0[:, None]
             w = (V @ eta).T
             v = (V @ etadot).T
         else:
@@ -509,14 +501,13 @@ def _forced_tip_slopes(model: BeamModel, g: TimeGrid, inputs: np.ndarray) -> np.
     """w_x(1, t_n) = sum_{j<n} h_{n-1-j} u_j from rest for each row of held
     shear samples u (trials x grid nodes), by one real FFT. A unit shear held
     over one step moves mode k, i steps later, by force_k 2 sin(omega_k dt/2)
-    sin(omega_k (i+1/2) dt) / omega_k^2 (cos - cos, no cancellation; dt^2 (i+1/2)
-    at omega_k = 0), so h is one modes x steps sine table of `_phase_tables`,
-    offset 1/2, read by the tip slope."""
+    sin(omega_k (i+1/2) dt) / omega_k^2 (cos - cos, no cancellation), so h is
+    one modes x steps sine table of `_phase_tables`, offset 1/2, read by the
+    tip slope."""
     omega, V = model.modal_basis()
-    n, positive = g.n_steps, omega > 0
+    n = g.n_steps
     table = _phase_tables(omega, g.dt, n, 0.5, cosine=False)[1]
-    table[~positive] = (np.arange(n) + 0.5) * g.dt
-    scale = np.where(positive, 2.0 * np.sin(omega * g.dt / 2.0) / np.where(positive, omega, 1.0) ** 2, g.dt)
+    scale = 2.0 * np.sin(omega * g.dt / 2.0) / omega**2
     h = ((model.slope_tip_row @ V) * -V[-1] * scale) @ table
     size = 1 << (2 * n - 2).bit_length()  # at least 2n - 1: no wrap-around
     spectrum = np.fft.rfft(inputs[:, :n], size) * np.fft.rfft(h, size)
@@ -644,11 +635,12 @@ def transfer_bound_products(s: float) -> tuple[float, float]:
 
 
 def random_smooth_state(model: BeamModel, rng: np.random.Generator,
-                        n_modes: int = 6, energy_level: float = 1.0) -> BeamState:
-    """Random low-mode state normalized to the requested discrete energy.
-    Coefficients decay like 1/j^2 so the traces stay grid-resolved."""
+                        energy_level: float = 1.0) -> BeamState:
+    """Random state in the lowest 6 modes, normalized to the requested
+    discrete energy. Coefficients decay like 1/j^2 so the traces stay
+    grid-resolved."""
     omega, V = model.modal_basis()
-    n_modes = min(n_modes, len(omega))
+    n_modes = min(6, len(omega))
     eta = np.zeros(len(omega))
     etadot = np.zeros(len(omega))
     decay = 1.0 / np.arange(1, n_modes + 1) ** 2

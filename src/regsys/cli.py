@@ -54,7 +54,7 @@ from .gramian import (
     surjectivity_radius,
 )
 from .grids import TimeGrid
-from .node import Realization, _rel_dev, composition_deviations, io_map, transfer
+from .node import Realization, _exactness, _rel_dev, _spectral_norm, composition_deviations, io_map, transfer
 from .sampling import across_instance, cross_instance, double_instance, random_realization
 
 SCHEMA_VERSION = "1"
@@ -131,20 +131,18 @@ def _run_radius(cfg: dict):
         cols = rows + int(rng.integers(0, 4))
         mat = rng.standard_normal((rows, cols))
         s0 = surjectivity_radius(mat)
-        u, s, vt = np.linalg.svd(mat)
-        sig_max = float(s[0])
+        u, _, vt = np.linalg.svd(mat)
 
+        # verdicts by the one exactness rule: a perturbation of norm 0.99 s0
+        # keeps mat onto, the rank-one one of norm s0 makes it not onto
         direction = rng.standard_normal(mat.shape)
-        direction *= 0.99 * s0 / np.linalg.svd(direction, compute_uv=False)[0]
-        sig_after = float(np.linalg.svd(mat + direction, compute_uv=False)[-1])
+        direction *= 0.99 * s0 / _spectral_norm(direction)
+        sig_after, _, onto = _exactness(mat + direction, True)
         min_safe_margin = min(min_safe_margin, sig_after / s0)
-        if sig_after <= 1e-12 * max(sig_max, 1.0):
-            safe_failures += 1
+        safe_failures += not onto
 
         kill = -s0 * np.outer(u[:, -1], vt[rows - 1, :])
-        sig_killed = float(np.linalg.svd(mat + kill, compute_uv=False)[-1])
-        if sig_killed > 1e-8 * max(sig_max, 1.0):
-            kill_failures += 1
+        kill_failures += _exactness(mat + kill, True)[2]
     payload = {"trials": cfg["trials"], "min_safe_margin": float(min_safe_margin)}
     return ({"safe_perturbation_failures": safe_failures, "rank_one_kill_failures": kill_failures},
             payload, {})

@@ -21,8 +21,10 @@ class AdmissibilityError(RegsysError):
 
 
 class ControllabilityError(RegsysError):
-    """An operation requiring exact controllability/observability was applied
-    to a system whose Gramian verdict is negative."""
+    """An operation requiring exact controllability/observability met a map
+    that fails the one exactness verdict (`node._exactness`: not onto, or
+    not bounded below, with sigma_min <= 1e-8 max(sigma_max, 1)), or a
+    minimum-norm control whose residual exceeds 1e-8 of its target."""
 
 
 class GridError(RegsysError):

@@ -42,6 +42,7 @@ from .node import (
     _block_conv,
     _block_toeplitz,
     _checked_solve,
+    _exactness,
     _grid_map,
     _markov,
     _rel_dev,
@@ -88,8 +89,9 @@ def admissible_feedback_check(r: Realization, fb: FeedbackGain, g: TimeGrid) -> 
 
     Builds the discrete input-output matrix F on the grid and inspects
     I - F * blockdiag(gamma), together with the static loop matrix I - D
-    gamma. The verdict is relative: smallest singular value above 1e-8
-    times the largest, from SVDs, since the values are reported.
+    gamma. Both take the package's one exactness rule (`node._exactness`):
+    smallest singular value above 1e-8 times the largest, floored at 1,
+    from SVDs, since the values are reported.
 
     Returns a dict with keys admissible, condition_number, sigma_min,
     feedthrough_sigma_min.
@@ -100,15 +102,13 @@ def admissible_feedback_check(r: Realization, fb: FeedbackGain, g: TimeGrid) -> 
     N, p = g.n_steps, r.p
     # F blockdiag(gamma, ..., gamma): one m x p block product per step
     gained = _block_toeplitz(_markov(lifted_quadruple(r, g.dt), slice(None), slice(None), N) @ gamma)
-    sv = np.linalg.svd(np.eye(N * p) - gained, compute_uv=False)
-    sv_static = np.linalg.svd(np.eye(p) - r.D @ gamma, compute_uv=False)
-    ok_grid = sv[-1] > _ADMISSIBILITY_RTOL * sv[0]
-    ok_static = sv_static[-1] > _ADMISSIBILITY_RTOL * sv_static[0]
+    level, top, ok_grid = _exactness(np.eye(N * p) - gained, True)
+    static_level, _, ok_static = _exactness(np.eye(p) - r.D @ gamma, True)
     return {
-        "admissible": bool(ok_grid and ok_static),
-        "condition_number": float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf"),
-        "sigma_min": float(sv[-1]),
-        "feedthrough_sigma_min": float(sv_static[-1]),
+        "admissible": ok_grid and ok_static,
+        "condition_number": top / level if level > 0 else float("inf"),
+        "sigma_min": level,
+        "feedthrough_sigma_min": static_level,
     }
 
 
@@ -312,27 +312,31 @@ def _open_blocks(theorem: str, step: tuple, m: int, n_steps: int) -> tuple:
 
 
 def _margin_norms(mode: str, blocks: tuple, D: np.ndarray, dt: float) -> tuple:
-    """(norms, level, top) of the gain margin k0 (mode "across") or theta0
+    """(norms, margin, top) of the gain margin k0 (mode "across") or theta0
     (mode "cross") in discrete-L2 coordinates, read off the open blocks
-    (F, F12, F21, F22) of `_open_blocks`. level is the radius of
-    surjectivity or the observability constant of F22 (0.0 when it is too
-    narrow), top its largest singular value; each caller gates level
-    against top at its own threshold."""
+    (F, F12, F21, F22) of `_open_blocks`. The exactness verdict of F22
+    (`node._exactness`, onto for across, bounded below for cross) gives its
+    level, the radius of surjectivity or the observability constant, and
+    its largest singular value top. margin is k0, or theta0 at alpha0 =
+    level / 2, and None when F22 is not exact."""
     sqdt = np.sqrt(dt)
     F, F12, F21, F22 = blocks
     norms = {"d_norm": _spectral_norm(D), "io_norm": _spectral_norm(F)}
-    if mode == "across":
+    across = mode == "across"
+    if across:
         base = F22 / sqdt
         norms.update(pert_io_norm=_spectral_norm(F12), control_norm=_spectral_norm(F21 / sqdt))
-        wide = base.shape[1] >= base.shape[0]
     else:
         base = F22 * sqdt
         norms.update(pert_io_norm=_spectral_norm(F21), obs_norm=_spectral_norm(F12 * sqdt))
-        wide = base.shape[0] >= base.shape[1]
-    sv = np.linalg.svd(base, compute_uv=False)
-    level = float(sv[-1]) if wide else 0.0
-    norms["radius" if mode == "across" else "obs_constant"] = level
-    return norms, level, float(sv[0])
+    level, top, exact = _exactness(base, across)
+    norms["radius" if across else "obs_constant"] = level
+    if not exact:
+        return norms, None, top
+    if across:
+        return norms, k0_bound(norms), top
+    norms["alpha0"] = level / 2.0
+    return norms, theta0_bound(norms), top
 
 
 def _compose(theorem: str, main: Realization, stack: Realization, g: TimeGrid,
@@ -384,17 +388,12 @@ def _compose(theorem: str, main: Realization, stack: Realization, g: TimeGrid,
         lft = G[m:, m:] + G[m:, :m] @ x
         dev_transfer = max(dev_transfer, _rel_dev(transfer(closed_probe, lam), lft))
 
-    norms = k0 = theta0 = None
+    norms, margins = None, {}
     if theorem != "bcross":
-        norms, level, top = _margin_norms(theorem, blocks, main.D, g.dt)
-        if level > 1e-12 * max(top, 1.0):
-            if theorem == "across":
-                k0 = k0_bound(norms)
-            else:
-                norms = dict(norms, alpha0=level / 2.0)
-                theta0 = theta0_bound(norms)
+        norms, margin, _ = _margin_norms(theorem, blocks, main.D, g.dt)
+        margins = {"k0" if theorem == "across" else "theta0": margin}
     return CompositionReport(theorem, closed, _rel_dev(lhs, rhs), dev_transfer,
-                             lambdas, g, k0=k0, theta0=theta0, norms=norms)
+                             lambdas, g, norms=norms, **margins)
 
 
 def perturb_across(main: Realization, pert: Realization, g: TimeGrid) -> CompositionReport:

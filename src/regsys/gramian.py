@@ -20,12 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, ControllabilityError, GridError, ShapeError
-from .feedback import (_closed_step, _companion_stack, _margin_norms, _open_blocks, _sides,
-                       k0_bound, theta0_bound)
+from .feedback import _closed_step, _companion_stack, _margin_norms, _open_blocks, _sides
 from .grids import Signal, TimeGrid
-from .node import Realization, _checked_solve, _grid_map, lifted_quadruple
-
-_EXACTNESS_RTOL = 1e-8
+from .node import _EXACTNESS_RTOL, Realization, _checked_solve, _exactness, _grid_map, lifted_quadruple
 
 
 def _prefix_grid(g: TimeGrid, t0: float) -> TimeGrid:
@@ -95,49 +92,39 @@ def surjectivity_radius(matrix: np.ndarray) -> float:
         raise ShapeError(
             f"surjectivity needs at least as many columns as rows, got {m.shape}"
         )
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+    return _exactness(m, True)[0]
 
 
 def observability_constant(r: Realization, g: TimeGrid, t0: float | None = None) -> float:
-    """Largest k with ||Psi x|| >= k ||x|| in discrete-L2 norms."""
-    psi = observation_operator(r, g, t0).matrix
-    if psi.shape[0] < psi.shape[1]:
-        return 0.0
-    return float(np.linalg.svd(psi, compute_uv=False)[-1])
+    """Largest k with ||Psi x|| >= k ||x|| in discrete-L2 norms (0.0 when
+    Psi has fewer rows than columns)."""
+    return _exactness(observation_operator(r, g, t0).matrix, False)[0]
 
 
 def gramian_report(op: ControlOperatorMatrix | ObservationOperatorMatrix) -> GramianReport:
     """Gramian and exactness verdict for a control or observation operator.
 
-    The verdict is relative: smallest singular value above 1e-8 times the
-    largest. For a control operator the radius is the radius of
-    surjectivity; for an observation operator it is the observability
-    constant.
+    The verdict is the package's one exactness rule (`node._exactness`):
+    smallest singular value above 1e-8 times the largest, floored at 1.
+    For a control operator the radius is the radius of surjectivity; for
+    an observation operator it is the observability constant.
     """
     m = op.matrix
-    if isinstance(op, ControlOperatorMatrix):
-        gram = m @ m.conj().T
-    else:
-        gram = m.conj().T @ m
-    sv = np.linalg.svd(m, compute_uv=False)
-    wide_enough = m.shape[1] >= m.shape[0] if isinstance(op, ControlOperatorMatrix) else m.shape[0] >= m.shape[1]
-    sigma_min = float(sv[-1]) if wide_enough and sv.size else 0.0
-    sigma_max = float(sv[0]) if sv.size else 0.0
-    return GramianReport(
-        gramian=gram,
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        verdict=bool(sigma_min > _EXACTNESS_RTOL * sigma_max),
-        radius=sigma_min,
-    )
+    control = isinstance(op, ControlOperatorMatrix)
+    gram = m @ m.conj().T if control else m.conj().T @ m
+    level, top, exact = _exactness(m, control)
+    return GramianReport(gramian=gram, sigma_min=level, sigma_max=top, verdict=exact, radius=level)
 
 
 def min_norm_control(r: Realization, g: TimeGrid, t0: float, x_target: np.ndarray) -> Signal:
     """Least-discrete-L2-norm input steering 0 to x_target at time t0.
 
-    Solves the normal equations through the Gramian, so the input lies in
-    the row space of the control operator. Raises ControllabilityError
-    when the Gramian is singular or the residual exceeds
+    Behind the exactness verdict of `node._exactness`, the input is
+    V Sigma^-1 U* x_target from the thin SVD U Sigma V* of the control
+    operator, so it lies in the operator's row space; the normal equations
+    through the Gramian would square the condition number (Golub & Van
+    Loan, Matrix Computations, sec. 5.3). Raises ControllabilityError when
+    the control operator is not onto, or when the residual exceeds
     1e-8 * ||x_target||.
     """
     x_target = np.asarray(x_target, dtype=float).reshape(-1)
@@ -145,17 +132,14 @@ def min_norm_control(r: Realization, g: TimeGrid, t0: float, x_target: np.ndarra
         raise ShapeError(f"x_target must have length {r.n}")
     op = control_operator(r, g, t0)
     phi = op.matrix
-    sv = np.linalg.svd(phi, compute_uv=False)
-    if phi.shape[1] < phi.shape[0] or sv[-1] <= _EXACTNESS_RTOL * max(sv[0], 1.0):
-        raise ControllabilityError(
-            f"system is not exactly controllable at t0={op.t0} "
-            f"(sigma_min={sv[-1] if sv.size else 0.0:.3e})"
-        )
-    gram = phi @ phi.T
-    u_hat = phi.T @ np.linalg.solve(gram, x_target)
+    level, _, exact = _exactness(phi, True)
+    if not exact:
+        raise ControllabilityError(f"system is not exactly controllable at t0={op.t0} (sigma_min={level:.3e})")
+    u, s, vh = np.linalg.svd(phi, full_matrices=False)
+    u_hat = vh.conj().T @ ((u.conj().T @ x_target) / s)
     residual = np.linalg.norm(phi @ u_hat - x_target)
     if residual > 1e-8 * max(np.linalg.norm(x_target), 1e-300):
-        raise ControllabilityError(f"normal equations left residual {residual:.3e}")
+        raise ControllabilityError(f"the SVD solve left residual {residual:.3e}")
     sub = op.grid
     vals = u_hat.reshape(sub.n_steps, r.m) / np.sqrt(sub.dt)
     # trailing node repeats the last step value; the input map never reads it
@@ -201,7 +185,6 @@ def robustness_sweep(
     t0: float,
     mode: str,
     k_grid: np.ndarray | None = None,
-    alpha0: float | None = None,
 ) -> SweepReport:
     """Sweep the gain k of the identity loop u = k y + v and measure the
     smallest singular value of the perturbed control operator (mode
@@ -210,22 +193,26 @@ def robustness_sweep(
     DC and P).
 
     One lifted step of main with pert's channel stacked on gives both the
-    margin norms (its open blocks) and every sweep point: all are closed at
+    margin (its open blocks, `feedback._margin_norms`, theta0 at alpha0 =
+    obs_constant / 2) and every sweep point: all are closed at
     once in the lifted one-step world (batched over the gains), and each
     takes an SVD. A gain at which I - k D_bar is numerically singular (the
     gate of `_checked_solve` at rtol 1e-12) gets sigma 0.0.
 
     The default grid is 32 logarithmic points in (0, 2*k0] (across) or
     (0, 2*theta0] (cross). The bound column is the guaranteed Weyl lower
-    bound, zero once the gain leaves the guaranteed range. The report
-    records the first grid gain k_star at which the verdict fails (None if
-    it never fails) and the margin k_star / bound_gain.
+    bound, zero once the gain leaves the guaranteed range. A point passes
+    when sigma stays above that bound and above a floor: the exactness
+    floor 1e-8 max(top, 1) of the base operator (across) or alpha0 (cross).
+    The report records the first grid gain k_star at which the verdict
+    fails (None if it never fails) and the margin k_star / bound_gain.
 
     Refuses (ValueError) a grid gain that is negative or not finite, since
     the Weyl bound holds only for 0 <= k; (ShapeError) a companion that
     does not share A and C (across) or A and B (cross); and
-    (ControllabilityError) a base perturbed operator that is not bounded
-    below at t0.
+    (ControllabilityError) a base perturbed operator that is not onto
+    (across) or not bounded below (cross) at t0, by the rule of
+    `node._exactness`.
     """
     if mode not in ("across", "cross"):
         raise ValueError(f"mode must be 'across' or 'cross', got {mode!r}")
@@ -238,19 +225,15 @@ def robustness_sweep(
     sub = _prefix_grid(g, t0)
     n_steps, m = sub.n_steps, main.m
     step = lifted_quadruple(stack, sub.dt)
-    norms, level, top = _margin_norms(mode, _open_blocks(mode, step, m, n_steps), main.D, sub.dt)
-    if level <= _EXACTNESS_RTOL * max(top, 1.0):
+    norms, bound_gain, top = _margin_norms(mode, _open_blocks(mode, step, m, n_steps), main.D, sub.dt)
+    if bound_gain is None:
         side = "input map is not onto" if mode == "across" else "output map is not bounded below"
         raise ControllabilityError(f"base {side} at t0")
     if mode == "across":
-        bound_gain = k0_bound(norms)
+        level, alpha, threshold = norms["radius"], None, _EXACTNESS_RTOL * max(top, 1.0)
         spread = norms["control_norm"] * norms["pert_io_norm"]
-        threshold = _EXACTNESS_RTOL * top
-        alpha = None
     else:
-        alpha = level / 2.0 if alpha0 is None else float(alpha0)
-        norms["alpha0"] = alpha
-        bound_gain = theta0_bound(norms)
+        level, alpha = norms["obs_constant"], norms["alpha0"]
         spread = norms["pert_io_norm"] * norms["obs_norm"]
         threshold = alpha
 

@@ -35,10 +35,10 @@ Lanczos kernel on the Gram operator, never formed, unless 64 steps leave it
 uncertified. The operator is dense mat-vecs, or FFT block convolutions for
 an io-map carried as its N Markov blocks (`_markov`). Every solve that can
 be refused as singular goes through `_checked_solve`: one LU and its 1-norm
-condition estimate.
-Reported smallest singular values (admissibility, radius of
-surjectivity, observability constant) take SVDs, because the Gram route
-squares the condition number.
+condition estimate. Every verdict that a map is onto or bounded below (exact
+controllability or observability, and the grid admissibility report) goes
+through `_exactness`: one SVD, because its smallest singular value is
+reported and the Gram route squares the condition number, and one rule.
 """
 
 from __future__ import annotations
@@ -162,6 +162,22 @@ def _checked_solve(mat, rhs, rtol: float, error: type, what: str) -> np.ndarray:
     if not np.isfinite(rcond) or rcond * anorm <= rtol * max(anorm, 1.0):
         raise error(f"{what} is numerically singular (rcond={rcond:.2e}, 1-norm {anorm:.2e})")
     return scipy.linalg.lu_solve((lu, piv), rhs)
+
+
+_EXACTNESS_RTOL = 1e-8
+
+
+def _exactness(mat, onto: bool) -> tuple[float, float, bool]:
+    """(level, top, exact): the package's one verdict on whether mat is onto
+    (onto=True) or bounded below. level is the smallest singular value when
+    the shape allows it (at least as many columns as rows for onto, as many
+    rows as columns otherwise), else 0.0; top is the largest; exact is
+    level > 1e-8 max(top, 1), the unit floor of `_checked_solve`."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    rows, cols = np.shape(mat)
+    level = float(sv[-1]) if sv.size and (cols >= rows if onto else rows >= cols) else 0.0
+    top = float(sv[0]) if sv.size else 0.0
+    return level, top, level > _EXACTNESS_RTOL * max(top, 1.0)
 
 
 def _encode_matrix(mat) -> list:

@@ -138,6 +138,15 @@ class TestSpectrum:
         assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.7)
         assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.7)
 
+    @pytest.mark.parametrize("N", [8, 1000])
+    def test_every_frequency_positive(self, N):
+        # the modal kernels divide by omega unguarded: P is triangular with a
+        # nonzero diagonal, so S = P'P is definite and omega_1 ~ 3.5 at any N
+        model = beam_model(N)
+        P = model._energy_rows
+        assert np.all(P[np.triu_indices(N, 1)] == 0.0) and np.all(np.diag(P) != 0.0)
+        assert np.min(model.modal_basis()[0]) > 3.0
+
     def test_feedback_spectrum_strictly_damped(self):
         r = beam_model(40, "shear-feedback", k=0.5).realization()
         assert r.spectral_abscissa() < -1e-5

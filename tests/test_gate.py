@@ -233,14 +233,14 @@ class TestRefusalParity:
 
     def test_unit_floor_band(self):
         # ||I - F|| < 1 with sigma_min between 1e-8 sigma_max and 1e-8: the
-        # SVD verdict, relative with no unit floor, admits the loop, and the
-        # gate, whose threshold is floored at 1e-8, refuses it (README,
-        # Numerical notes). I - D_bar = [1e-3] passes its own gate
+        # SVD verdict of admissible_feedback_check and the LU gate both floor
+        # their threshold at 1e-8, so both refuse the loop. I - D_bar = [1e-3]
+        # passes its own gate
         main, pert = _integrator_loop(1e-1, d_bar=1.0 - 1e-3)
         sv = np.linalg.svd(np.eye(GRID.n_steps) - quadruple_maps(main, GRID).io_map,
                            compute_uv=False)
         assert sv[0] < 1.0 and 1e-8 * sv[0] < sv[-1] < 1e-8
-        assert admissible_feedback_check(main, FeedbackGain([[1.0]]), GRID)["admissible"]
+        assert not admissible_feedback_check(main, FeedbackGain([[1.0]]), GRID)["admissible"]
         with pytest.raises(AdmissibilityError, match="I - F on the grid"):
             perturb_across(main, pert, GRID)
 
@@ -396,11 +396,10 @@ class TestExactlySingularSites:
             feed_in_observe(bt, default_shift_sweep(bt, 18))
 
 
-def _calls(func_names):
-    """(file, enclosing function, source) for every name or attribute in
-    src/regsys that reads one of func_names; the function is the innermost
-    one that encloses it."""
-    out = []
+def _nodes():
+    """(file, enclosing function, node) for every AST node of src/regsys;
+    the function is the innermost one that encloses it, None at module
+    level."""
     for path in sorted((Path(__file__).parents[1] / "src" / "regsys").glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {}
@@ -409,24 +408,48 @@ def _calls(func_names):
                 for sub in ast.walk(fn):
                     owner[id(sub)] = fn.name  # inner functions overwrite later
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                if name in func_names:
-                    out.append((path.name, owner.get(id(node)), ast.unparse(node)))
+            yield path.name, owner.get(id(node)), node
+
+
+def _calls(func_names):
+    """(file, enclosing function, source) for every name or attribute in
+    src/regsys that reads one of func_names."""
+    out = []
+    for file, fn, node in _nodes():
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in func_names:
+                out.append((file, fn, ast.unparse(node)))
     return out
 
 
 def test_one_singularity_gate():
     # the LU, its condition estimate and the LU solve are read only inside
-    # _checked_solve; a dense solve outside it only at the one reported-value
-    # site, the Gramian solve of min_norm_control (behind the controllability
-    # verdict). The block right side of a composition is gated: its LU of
-    # I - F is the grid admissibility verdict
+    # _checked_solve, and no code solves, inverts or least-squares outside
+    # it (min_norm_control solves from an SVD). The block right side of a
+    # composition is gated: its LU of I - F is the grid admissibility verdict
     gate = _calls({"lu_factor", "lu_solve", "dgecon", "zgecon", "getrf", "gesv"})
     assert gate and {(f, fn) for f, fn, _ in gate} == {("node.py", "_checked_solve")}
     solves = [(f, fn) for f, fn, text in _calls({"solve", "inv", "pinv", "lstsq"})
               if text.startswith(("np.", "numpy.", "scipy."))]
-    assert solves == [("gramian.py", "min_norm_control")]
+    assert solves == []
     for name in ("_inv", "_feedback_loop_inverse"):
         assert not any(getattr(mod, name, None) for mod in
                        (regsys.node, regsys.feedback, regsys.boundary, regsys.gramian))
+
+
+def test_one_exactness_verdict():
+    # singular values without vectors are taken only where the one
+    # exactness verdict is decided (node._exactness), for the sweep's
+    # batched per-gain sigma and for the trace-rank check of BoundaryTriple,
+    # so no second onto / bounded-below rule can fork off
+    sites = set()
+    for file, fn, node in _nodes():
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func).split(".")[-1]
+            if name == "svdvals" or (name == "svd" and any(kw.arg == "compute_uv" for kw in node.keywords)):
+                sites.add((file, fn))
+    assert sites == {("node.py", "_exactness"), ("gramian.py", "robustness_sweep"),
+                     ("boundary.py", "__post_init__")}
+    assert {(f, fn) for f, fn, _ in _calls({"_EXACTNESS_RTOL"})} == {
+        ("node.py", None), ("node.py", "_exactness"), ("gramian.py", "robustness_sweep")}

@@ -355,11 +355,69 @@ class TestRobustnessSweep:
         qm = quadruple_maps(pert, GRID)
         if mode == "across":
             level = rep.norms["radius"]
-            threshold = 1e-8 * np.linalg.svd(qm.input_map / np.sqrt(GRID.dt), compute_uv=False)[0]
+            top = np.linalg.svd(qm.input_map / np.sqrt(GRID.dt), compute_uv=False)[0]
+            threshold = 1e-8 * max(top, 1.0)
         else:
             level, threshold = rep.norms["obs_constant"], rep.alpha0
         ok = ref + 1e-9 * max(level, 1.0) >= np.maximum(rep.bound, threshold)
         np.testing.assert_array_equal(rep.within_bound, ok)
+
+
+def _planted(mode, eps):
+    """The instance of seed 0 on GRID with its companion planted eps away
+    from losing exactness: for "across", DB <- DB - w w'DB + eps w 1' along
+    a real unit left eigenvector w of A, so that w' DB = eps 1' and w' phi
+    is of order eps; for "cross" the dual, DC <- DC - DC v v' + eps 1 v'
+    along a real unit right eigenvector v."""
+    main, pert = (across_instance if mode == "across" else cross_instance)(np.random.default_rng(0), GRID)
+    lam, vecs = np.linalg.eig(main.A.T if mode == "across" else main.A)
+    v = vecs[:, np.flatnonzero(lam.imag == 0)[0]].real
+    v /= np.linalg.norm(v)
+    if mode == "across":
+        db = pert.B - np.outer(v, v @ pert.B) + eps * np.outer(v, np.ones(pert.m))
+        return main, Realization(pert.A, db, pert.C, pert.D)
+    dc = pert.C - np.outer(pert.C @ v, v) + eps * np.outer(np.ones(pert.p), v)
+    return main, Realization(pert.A, pert.B, dc, pert.D)
+
+
+class TestOneExactnessVerdict:
+    @settings(max_examples=20)
+    @given(mode=st.sampled_from(["across", "cross"]), log_eps=st.floats(-11.0, -2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_planted_family_verdicts_agree(self, mode, log_eps, seed):
+        # the composition's margin, the sweep, the Gramian report and the
+        # minimum-norm control (of the adjoint system for cross, whose control
+        # operator is the observation operator's adjoint) refuse together.
+        # Where they accept, the control reaches its target to 1e-8 through the
+        # exact discrete input map (the per-step recursion adds rounding of its
+        # own near the gate), unless its residual check refuses where no solve
+        # in double precision can pass it: there the residual floor is of order
+        # eps kappa ||x||, which reaches 1e-8 ||x|| within a decade of the gate
+        main, pert = _planted(mode, 10.0**log_eps)
+        compose = perturb_across if mode == "across" else perturb_cross
+        margin = getattr(compose(main, pert, GRID), "k0" if mode == "across" else "theta0")
+        try:
+            robustness_sweep(main, pert, GRID, GRID.t_end, mode)
+            swept = True
+        except ControllabilityError:
+            swept = False
+        if mode == "across":
+            report, steered = gramian_report(control_operator(pert, GRID)), pert
+        else:
+            report = gramian_report(observation_operator(pert, GRID))
+            steered = Realization(pert.A.T, pert.C.T, pert.B.T, pert.D.T)
+        target = np.random.default_rng(seed).standard_normal(pert.n)
+        try:
+            u, refusal = min_norm_control(steered, GRID, GRID.t_end, target), ""
+        except ControllabilityError as err:
+            u, refusal = None, str(err)
+        assert (margin is not None) == swept == report.verdict == ("not exactly controllable" not in refusal)
+        if u is not None:
+            reached = quadruple_maps(steered, GRID).input_map @ u.values[:-1].ravel()
+            assert np.linalg.norm(reached - target) <= 1e-8 * np.linalg.norm(target)
+        elif report.verdict:
+            assert "residual" in refusal
+            assert np.finfo(float).eps * report.sigma_max / report.sigma_min > 1e-9
 
 
 def _sweep_point(k, main, pert, mode):
