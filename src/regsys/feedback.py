@@ -22,11 +22,14 @@ F21 (I - F)^-1 F12 + F22 from the open one, and the gain margins are norms
 of those four blocks. The transfer probe (the stack with the state read
 out or fed in) must have a closed transfer equal to G22 + G21 (I - G11)^-1
 G12 of the open one, both through `node.transfer` and its singularity gate.
-The right side's one LU of I - F on the grid is also the grid admissibility
-verdict; an exactly singular I - F is refused first at its diagonal blocks
-I - D_bar. Io-maps travel as Markov blocks (`node._markov`), F is formed only
-for that LU, X = (I - F)^-1 F12 is solved on one block column when F12 is an
-io-map, and F21 X is one FFT block convolution (`node._block_conv`).
+Io-maps travel as Markov blocks (`node._markov`). The right side solves the
+grid loop on the blocks of F (`node._loop_solve`): the Markov blocks of
+(I - F)^-1 by doubling from (I - D_bar)^-1, X = (I - F)^-1 F12 and F21 X as
+FFT block convolutions (`node._block_conv`). That solve is also the grid
+admissibility verdict. Its certificate only accepts; where it does not hold,
+F is formed and the dense `_checked_solve` decides, so refusals still come
+only from that gate. An exactly singular I - F is refused first at its
+diagonal blocks I - D_bar.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .node import (
     _checked_solve,
     _exactness,
     _grid_map,
+    _loop_solve,
     _markov,
     _rel_dev,
     _spectral_norm,
@@ -358,12 +362,12 @@ def _compose(theorem: str, main: Realization, stack: Realization, g: TimeGrid,
                        AdmissibilityError, "I - D_bar")
     lhs = (_markov if theorem == "bcross" else _grid_map)(_closed_step(step, m, S), *_sides(theorem, 0), N)
 
-    # discrete side, right: block composition of the open-loop maps, with
-    # the grid verdict in its one LU and X from F12's first block column;
-    # F21 X is T(F21) X, or for across the reversed input map convolved with X
+    # discrete side, right: block composition of the open-loop maps, X =
+    # (I - F)^-1 F12 from the inverse sequence of I - F, whose certificate, or
+    # else the dense gate, is the grid verdict; F21 X is T(F21) X, or for
+    # across the reversed input map convolved with X
     blocks = f, f12, f21, f22 = _open_blocks(theorem, step, m, N)
-    x = _checked_solve(np.eye(N * m) - _block_toeplitz(f), f12.reshape(N * m, -1),
-                       _ADMISSIBILITY_RTOL, AdmissibilityError, "I - F on the grid").reshape(N, m, -1)
+    x = _loop_solve(f, f12.reshape(N, m, -1), S, _ADMISSIBILITY_RTOL, AdmissibilityError, "I - F on the grid")
     across = theorem == "across"
     conv = _block_conv(f21.reshape(-1, N, m)[:, ::-1].swapaxes(0, 1) if across else f21)(x)
     rhs = (conv[::-1].swapaxes(0, 1) if across else conv).reshape(f22.shape) + f22

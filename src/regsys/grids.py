@@ -46,8 +46,10 @@ class TimeGrid:
         return self.n_steps + 1
 
     def index_of(self, t: float, rtol: float = 1e-9) -> int:
-        """Index k with t_k = t. Refuses values that are not grid-aligned."""
-        k = int(round(t / self.dt))
+        """Index k with t_k = t. Refuses values that are not grid-aligned,
+        NaN and +-inf among them."""
+        q = t / self.dt
+        k = int(round(q)) if np.isfinite(q) else -1
         if k < 0 or k > self.n_steps or abs(t - k * self.dt) > rtol * max(self.dt, abs(t)):
             raise GridError(f"t={t} is not a node of the grid (dt={self.dt})")
         return k

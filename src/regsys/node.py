@@ -35,10 +35,14 @@ Lanczos kernel on the Gram operator, never formed, unless 64 steps leave it
 uncertified. The operator is dense mat-vecs, or FFT block convolutions for
 an io-map carried as its N Markov blocks (`_markov`). Every solve that can
 be refused as singular goes through `_checked_solve`: one LU and its 1-norm
-condition estimate. Every verdict that a map is onto or bounded below (exact
-controllability or observability, and the grid admissibility report) goes
-through `_exactness`: one SVD, because its smallest singular value is
-reported and the Gram route squares the condition number, and one rule.
+condition estimate. The grid loop I - F is solved on its blocks by
+`_loop_solve`, an inverse sequence by doubling whose residual certificate
+implies that this gate would accept; where it does not hold, the dense
+`_checked_solve` decides, so refusals still come only from it. Every verdict
+that a map is onto or bounded below (exact controllability or
+observability, and the grid admissibility report) goes through
+`_exactness`: one SVD, because its smallest singular value is reported and
+the Gram route squares the condition number, and one rule.
 """
 
 from __future__ import annotations
@@ -355,6 +359,50 @@ def _block_conv(a: np.ndarray):
     return lambda b: np.fft.irfft(np.einsum("fpk,fkm->fpm", fa, np.fft.rfft(b, n, axis=0)), n, axis=0)[:N]
 
 
+def _loop_solve(f, rhs, S, rtol: float, error: type, what: str) -> np.ndarray:
+    """(I - T(f))^-1 rhs for the block column rhs (N, m, k), from the loop
+    blocks f (N, m, m) and S = (I - f_0)^-1, behind a certificate that
+    `_checked_solve` would accept I - T(f). For rhs the Markov blocks of an
+    io-map, these are the Markov blocks of (I - T(f))^-1 T(rhs).
+
+    With t = delta - f the blocks of T = I - T(f), the inverse sequence h
+    starts at [S] and doubles, h <- h + h*(delta - t*h) truncated, each
+    product one `_block_conv` (Newton's iteration for power series; Kailath &
+    Sayed, Fast Reliable Algorithms for Matrices with Structure, SIAM 1999),
+    and X = T(h) rhs. With the residual r = delta - t*h, T T(h) = I - T(r).
+    Let rho, eta, tau be the sums of the Frobenius norms of the blocks of r,
+    h, t; they bound the 2-norms of T(r), T(h), T. Once rho < 1, T^-1 =
+    T(h) (I - T(r))^-1 and ||T^-1||_2 <= eta / (1 - rho). With n = N m, the
+    gate's estimate of ||T^-1||_1 is a lower bound and ||.||_1 <= sqrt(n)
+    ||.||_2 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 6 and 15), so that
+        rcond ||T||_1 >= 1 / ||T^-1||_1 >= (1 - rho) / (sqrt(n) eta),
+        rtol max(||T||_1, 1) <= sqrt(n) rtol max(tau, 1),
+    and (1 - rho) / eta > n rtol max(tau, 1) implies that the gate accepts.
+    Otherwise the gate decides: `_checked_solve` of the dense I - T(f), the
+    one path that can refuse.
+    """
+    N, m, _ = f.shape
+    t = -f
+    t[0] += np.eye(m)
+
+    def residual(h):  # delta - t*h over len(h) blocks
+        r = -_block_conv(t[: len(h)])(h)
+        r[0] += np.eye(m)
+        return r
+
+    h = S[None]
+    with np.errstate(over="ignore", invalid="ignore"):  # a growing h overflows: not certified
+        while len(h) < N:
+            h = np.concatenate((h, np.zeros_like(t[: min(len(h), N - len(h))])))
+            h = h + _block_conv(h)(residual(h))
+        rho, eta, tau = (float(np.linalg.norm(s, axis=(1, 2)).sum()) for s in (residual(h), h, t))
+    if rho < 1.0 and (1.0 - rho) / eta > N * m * rtol * max(tau, 1.0):
+        return _block_conv(h)(rhs)
+    mat = np.eye(N * m) - _block_toeplitz(f)
+    return _checked_solve(mat, rhs.reshape(N * m, -1), rtol, error, what).reshape(rhs.shape)
+
+
 def _powers(x, E, n_steps: int, rows: bool) -> np.ndarray:
     """[x E^j] (rows) or [E^j x] (columns), j < n_steps, on axis -3 by doubling: the known
     powers times P = E^(2^i), then P squared; ceil(log2 n_steps) batched products."""
@@ -447,9 +495,12 @@ def transfer(r: Realization, lam: complex) -> np.ndarray:
     """G(lam) = C (lam I - A)^{-1} B + D.
 
     Raises SpectrumError when lam is an eigenvalue of A up to working
-    precision: the gate of `_checked_solve` at rtol 1e3 * machine eps.
+    precision: the gate of `_checked_solve` at rtol 1e3 * machine eps, and
+    ValueError when lam is not finite.
     """
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     Alam = lam * np.eye(r.n) - r.A
     if np.isrealobj(r.A) and lam.imag == 0.0:
         Alam = Alam.real

@@ -231,6 +231,28 @@ class TestRefusalParity:
         assert all(new == old for new, old in verdicts)
         assert [new for new, _ in verdicts[:4]] == [True, True, False, False]
 
+    def test_integrator_loops_reach_both_grid_paths(self, monkeypatch):
+        # the loops at 1e-3, 0.1 and 10 times the threshold are left to the
+        # dense gate, the one at 1e3 is certified on its blocks, so the
+        # refusal tests above cover both paths of the grid verdict
+        dense = []
+
+        def gate(mat, rhs, rtol, error, what):
+            dense.append(what)
+            return _checked_solve(mat, rhs, rtol, error, what)
+
+        monkeypatch.setattr(regsys.node, "_checked_solve", gate)
+        paths = []
+        for factor in (1e-3, 1e-1, 1e1, 1e3):
+            main, pert = _integrator_loop(factor)
+            dense.clear()
+            try:
+                perturb_across(main, pert, GRID)
+            except AdmissibilityError:
+                pass
+            paths.append("I - F on the grid" in dense)
+        assert paths == [True, True, True, False]
+
     def test_unit_floor_band(self):
         # ||I - F|| < 1 with sigma_min between 1e-8 sigma_max and 1e-8: the
         # SVD verdict of admissible_feedback_check and the LU gate both floor

@@ -35,6 +35,18 @@ class TestTimeGrid:
         with pytest.raises(GridError):
             g.index_of(1.1)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 1e308])
+    def test_index_of_refuses_non_finite(self, t):
+        # NaN, +-inf and a t whose step count overflows get the grid's own
+        # error, before rounding; control_operator, observation_operator,
+        # robustness_sweep and min_norm_control reach index_of through t0
+        g = TimeGrid(1.0, 10)
+        r = Realization([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(GridError, match="not a node"):
+            g.index_of(t)
+        with pytest.raises(GridError, match="not a node"):
+            min_norm_control(r, g, t, np.array([1.0]))
+
     def test_prefix(self):
         g = TimeGrid(1.0, 10)
         sub = g.prefix(4)
