@@ -98,85 +98,3 @@ from .sampling import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityError",
-    "BeamModel",
-    "BeamState",
-    "BeamTrajectory",
-    "BoundaryTriple",
-    "CompositionReport",
-    "ControlOperatorMatrix",
-    "ControllabilityError",
-    "DirichletMap",
-    "FeedInReport",
-    "FeedbackGain",
-    "FeedthroughEstimate",
-    "FunctionalTrace",
-    "GramianReport",
-    "GridError",
-    "ObservationOperatorMatrix",
-    "QuadrupleMaps",
-    "Realization",
-    "RegsysError",
-    "RestrictedGenerator",
-    "ShapeError",
-    "Signal",
-    "SpectrumError",
-    "SweepReport",
-    "TimeGrid",
-    "across_instance",
-    "admissible_feedback_check",
-    "beam_discretize",
-    "beam_model",
-    "beam_transfer_H",
-    "beam_transfer_H1",
-    "close_boundary_loop",
-    "closed_loop",
-    "composition_deviations",
-    "control_operator",
-    "control_operator_from_triple",
-    "cross_instance",
-    "default_shift_sweep",
-    "dirichlet_map",
-    "double_instance",
-    "energy",
-    "feed_in_full",
-    "feed_in_observe",
-    "feedthrough_estimate",
-    "gramian_report",
-    "input_map",
-    "io_map",
-    "k0_bound",
-    "lambda_extension",
-    "laplacian_triple",
-    "lifted_quadruple",
-    "min_norm_control",
-    "multiplier_rho",
-    "multiplier_rho1",
-    "observability_constant",
-    "observation_operator",
-    "output_map",
-    "perturb_across",
-    "perturb_cross",
-    "perturb_double",
-    "quadruple_maps",
-    "random_realization",
-    "random_smooth_state",
-    "regularity_limit",
-    "restrict_generator",
-    "rho1_derivative_check",
-    "rho_derivative_check",
-    "robustness_sweep",
-    "semigroup_step",
-    "simulate",
-    "surjectivity_radius",
-    "theta0_bound",
-    "transfer",
-    "transfer_bound_products",
-    "verify_admissibility_bound",
-    "verify_observability",
-    "verify_wellposedness_bound",
-    "wave_triple",
-    "wellposedness_constant",
-]

@@ -14,7 +14,10 @@ enters as a tip force -u / m_tip in the velocity equation.
 Output traces reuse the scheme's own stencils: w_xx(0) is the clamped-end
 curvature row and w_x(1) the second-order one-sided slope; that discrete
 integration-by-parts consistency is what lets the multiplier identities
-close numerically.
+close numerically. The stencils that build the curvature rows and the tip
+row also make every nodal functional in one pass, `_functionals`, over rows
+of (w, v), one state or every time of a trajectory: F, rho, rho1, both
+traces and the two density integrals the multiplier identities read.
 
 Conservative modes are integrated by exact modal rotation (the
 exponential integrator expressed in eigencoordinates), the dissipative
@@ -127,11 +130,9 @@ class BeamModel:
 
     @cached_property
     def _energy_rows(self) -> np.ndarray:
-        """P = sqrt(dx weights) T with weights (1/2, 1, ..., 1): S = P'P and
+        """P = sqrt(dx weights) T with the `_curvature_weights`: S = P'P and
         the potential energy of w is |P w|^2 / 2."""
-        weights = np.ones(self.n_dof)
-        weights[0] = 0.5
-        rows = np.sqrt(self.dx * weights)[:, None] * self.curvature_rows
+        rows = np.sqrt(self.dx * _curvature_weights(self.n_dof))[:, None] * self.curvature_rows
         rows.flags.writeable = False
         return rows
 
@@ -152,6 +153,36 @@ class BeamModel:
         return omega, V
 
 
+def _curvature_weights(nd: int) -> np.ndarray:
+    """(1/2, 1, ..., 1): trapezoid weights of kappa_0..kappa_N; kappa_{N+1} = 0."""
+    return np.concatenate([[0.5], np.ones(nd - 1)])
+
+
+def _curvatures(w: np.ndarray, dx: float) -> np.ndarray:
+    """kappa_0..kappa_N of each row of nodal values w_1..w_{N+1}: second
+    differences with w_0 = 0 and the reflection w_-1 = w_1 (w_x(0) = 0), as
+    differences of neighbour differences, exact where neighbours lie within
+    a factor 2 (Sterbenz's lemma). Elementwise, so a row gives the same
+    values alone or in any batch; on the identity it gives the curvature rows."""
+    out = np.empty(w.shape)
+    out[:, 0] = w[:, 0]
+    np.subtract(w[:, 1:], w[:, :-1], out=out[:, 1:])
+    out[:, 1:] = np.diff(out, axis=1)
+    out[:, 0] *= 2.0
+    out /= dx**2
+    return out
+
+
+def _slopes(w: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
+    """w_x on nodes 1..N+1 of each row of w_1..w_{N+1} into `out`: central
+    differences with w_0 = 0 inside, second-order one-sided at the tip."""
+    out[:, 0] = w[:, 1]
+    np.subtract(w[:, 2:], w[:, :-2], out=out[:, 1:-1])
+    out[:, -1] = 3.0 * (w[:, -1] - w[:, -2]) - (w[:, -2] - w[:, -3])
+    out /= 2.0 * dx
+    return out
+
+
 def beam_model(N: int, mode: str = "homogeneous", k: float = 0.0) -> BeamModel:
     """Assemble the semi-discrete beam. Requires N >= 8 so the one-sided
     stencils do not straddle both ends."""
@@ -167,21 +198,10 @@ def beam_model(N: int, mode: str = "homogeneous", k: float = 0.0) -> BeamModel:
     masses[-1] = dx / 2.0
     # curvature rows kappa_0..kappa_N on w_1..w_{N+1}; the free-end row
     # kappa_{N+1} = 0 is omitted (identically zero)
-    T = np.zeros((nd, nd))
-    T[0, 0] = 2.0 / dx**2
-    for i in range(1, nd):
-        if i - 2 >= 0:
-            T[i, i - 2] = 1.0 / dx**2
-        T[i, i - 1] = -2.0 / dx**2
-        T[i, i] = 1.0 / dx**2
-    weights = np.ones(nd)
-    weights[0] = 0.5
-    stiffness = dx * T.T @ (weights[:, None] * T)
+    T = _curvatures(np.eye(nd), dx).T.copy()
+    stiffness = dx * T.T @ (_curvature_weights(nd)[:, None] * T)
     stiffness = (stiffness + stiffness.T) / 2.0
-    slope = np.zeros(nd)
-    slope[-1] = 3.0 / (2.0 * dx)
-    slope[-2] = -4.0 / (2.0 * dx)
-    slope[-3] = 1.0 / (2.0 * dx)
+    slope = _slopes(np.eye(nd), dx, np.empty((nd, nd)))[:, -1].copy()
     return BeamModel(N=N, mode=mode, k=float(k), dx=dx, masses=masses,
                      stiffness=stiffness, curvature_rows=T, slope_tip_row=slope)
 
@@ -212,68 +232,64 @@ class BeamState:
         object.__setattr__(self, "v", v)
 
 
-def _with_clamped_node(vec: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0.0], vec])
+def _functionals(model: BeamModel, w: np.ndarray, v: np.ndarray) -> dict:
+    """Every nodal functional of each row of (w, v), a time or a state, by
+    its `FunctionalTrace` name. Each integral is the trapezoid rule over
+    nodes 0..N+1: w_t(0) = 0 leaves the masses as the velocity weights, and
+    w_xx(1) = 0 leaves dx `_curvature_weights` on the curvatures. One
+    scratch array of the size of w takes the squared curvatures, the slopes
+    times w_t and w_t^2 in turn, each weighted in place and summed by row,
+    so a row gives the same values alone or in any batch of rows."""
+    dx, x = model.dx, model.nodes()
+    scratch = _curvatures(w, dx)
+
+    def row_sums(*factors):  # the row sums after each factor in turn
+        return [np.multiply(scratch, f, out=scratch).sum(axis=1) for f in factors]
+
+    w_xx_0 = scratch[:, 0].copy()
+    scratch *= scratch
+    pot, pot_moment = row_sums(dx * _curvature_weights(model.n_dof), 2.0 * x[:-1] - 1.0)
+    w_x_1 = _slopes(w, dx, scratch)[:, -1].copy()
+    scratch *= v
+    rho1, rho = row_sums(model.masses * (x[1:] - 1.0), x[1:])
+    np.multiply(v, v, out=scratch)
+    kin, kin_moment = row_sums(model.masses, 2.0 * x[1:] - 1.0)
+    return {"F": (kin + pot) / 2.0, "rho": rho, "rho1": rho1, "w_x_1": w_x_1, "w_xx_0": w_xx_0,
+            "density": kin + 3.0 * pot, "density_moment": kin_moment + 3.0 * pot_moment}
 
 
-def _potential(model: BeamModel, w: np.ndarray) -> float:
-    # evaluated through the curvature rows, not w'Sw: the row form first
-    # cancels the large 1/dx^2 stencil terms, keeping rounding near eps
-    kappa = model.curvature_rows @ w
-    weighted = kappa * kappa
-    weighted[0] *= 0.5
-    return float(model.dx * np.sum(weighted))
-
-
-def energy(model: BeamModel, state: BeamState) -> float:
-    """Discrete F(t) = (v' M v + w' S w) / 2, the trapezoid quadrature of
-    (w_t^2 + w_xx^2) / 2 with the scheme's own curvature rows."""
+def _state_functional(model: BeamModel, state: BeamState, name: str) -> float:
+    """The functional `name` of one state; a multiplier is refused above F."""
     if state.w.shape != (model.n_dof,):
         raise ShapeError(f"state must have {model.n_dof} nodes")
-    kin = float(state.v @ (model.masses * state.v))
-    return (kin + _potential(model, state.w)) / 2.0
-
-
-def _trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
-    """Trapezoid quadrature of each row; a single sample set is one row."""
-    return dx * (np.sum(values, axis=1) - (values[:, 0] + values[:, -1]) / 2.0)
-
-
-def _slope_rows(model: BeamModel, w: np.ndarray) -> np.ndarray:
-    """Nodal w_x on nodes 0..N+1 for a batch of states (rows): clamped end
-    exact zero, central in the interior, second-order one-sided at the tip."""
-    full = np.concatenate([np.zeros((w.shape[0], 1)), w], axis=1)
-    dx = model.dx
-    out = np.zeros_like(full)
-    out[:, 1:-1] = (full[:, 2:] - full[:, :-2]) / (2.0 * dx)
-    out[:, -1] = (3.0 * full[:, -1] - 4.0 * full[:, -2] + full[:, -3]) / (2.0 * dx)
-    return out
-
-
-def _multiplier(model: BeamModel, state: BeamState, weight: np.ndarray, name: str) -> float:
-    """Trapezoid quadrature of weight(x) w_t w_x, refused above F."""
-    vals = weight * _with_clamped_node(state.v) * _slope_rows(model, state.w[None, :])[0]
-    value = float(_trapezoid_rows(vals[None, :], model.dx)[0])
-    f = energy(model, state)
+    values = _functionals(model, state.w[None, :], state.v[None, :])
+    value, f = float(values[name][0]), float(values["F"][0])
     if abs(value) > f + 1e-8 * (1.0 + f):
         raise RegsysError(f"multiplier bound violated: |{name}|={abs(value):.3e} > F={f:.3e}")
     return value
 
 
+def energy(model: BeamModel, state: BeamState) -> float:
+    """Discrete F(t) = (v' M v + w' S w) / 2, the trapezoid quadrature of
+    (w_t^2 + w_xx^2) / 2 with the scheme's own curvature rows."""
+    return _state_functional(model, state, "F")
+
+
 def multiplier_rho(model: BeamModel, state: BeamState) -> float:
     """Trapezoid quadrature of x(x-1) w_t w_x."""
-    x = model.nodes()
-    return _multiplier(model, state, x * (x - 1.0), "rho")
+    return _state_functional(model, state, "rho")
 
 
 def multiplier_rho1(model: BeamModel, state: BeamState) -> float:
     """Trapezoid quadrature of (x-1) w_t w_x."""
-    return _multiplier(model, state, model.nodes() - 1.0, "rho1")
+    return _state_functional(model, state, "rho1")
 
 
 @dataclass(frozen=True, eq=False)
 class FunctionalTrace:
-    """Samples of the energy, multipliers, and boundary traces."""
+    """Samples of the energy, multipliers, and boundary traces, and of the
+    densities int e dx and int (2x-1) e dx, e = w_t^2 + 3 w_xx^2, that the
+    multiplier identities read."""
 
     grid: TimeGrid
     F: np.ndarray = field(repr=False)
@@ -281,6 +297,8 @@ class FunctionalTrace:
     rho1: np.ndarray = field(repr=False)
     w_x_1: np.ndarray = field(repr=False)
     w_xx_0: np.ndarray = field(repr=False)
+    density: np.ndarray = field(repr=False)
+    density_moment: np.ndarray = field(repr=False)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -302,22 +320,6 @@ class BeamTrajectory:
 
     def state_at(self, index: int) -> BeamState:
         return BeamState(self.w[index], self.v[index], float(self.grid.nodes[index]))
-
-
-def _functional_trace(model: BeamModel, g: TimeGrid, w: np.ndarray, v: np.ndarray) -> FunctionalTrace:
-    x = model.nodes()
-    dx = model.dx
-    kin = np.einsum("ti,i,ti->t", v, model.masses, v)
-    kw = (w @ model.curvature_rows.T) ** 2
-    kw[:, 0] *= 0.5
-    F = (kin + dx * np.sum(kw, axis=1)) / 2.0
-    v_full = np.concatenate([np.zeros((w.shape[0], 1)), v], axis=1)
-    slopes = _slope_rows(model, w)
-    rho = _trapezoid_rows((x * (x - 1.0))[None, :] * v_full * slopes, dx)
-    rho1 = _trapezoid_rows((x - 1.0)[None, :] * v_full * slopes, dx)
-    wx1 = w @ model.slope_tip_row
-    wxx0 = w @ model.curvature_rows[0]
-    return FunctionalTrace(grid=g, F=F, rho=rho, rho1=rho1, w_x_1=wx1, w_xx_0=wxx0)
 
 
 def _phase_tables(omega: np.ndarray, dt: float, n: int, offset: float = 0.0,
@@ -432,10 +434,15 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
             state = E @ state
             w[step + 1], v[step + 1] = state[:nd], state[nd:]
 
-    trace = _functional_trace(model, g, w, v)
+    trace = FunctionalTrace(g, **_functionals(model, w, v))
     if model.mode == "homogeneous":
         _require_conserved(trace.F)
     return BeamTrajectory(model=model, grid=g, w=w, v=v, trace=trace)
+
+
+def _trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoid quadrature of each row; a single sample set is one row."""
+    return dx * (np.sum(values, axis=1) - (values[:, 0] + values[:, -1]) / 2.0)
 
 
 def _free_states(model: BeamModel, rng: np.random.Generator, trials: int) -> tuple:
@@ -564,33 +571,20 @@ def _central_dt(values: np.ndarray, dt: float) -> np.ndarray:
     return (values[2:] - values[:-2]) / (2.0 * dt)
 
 
-def _energy_density_integral(traj: BeamTrajectory, weight: np.ndarray) -> np.ndarray:
-    """Trapezoid quadrature of weight(x) (w_t^2 + 3 w_xx^2) at all times."""
-    model = traj.model
-    v_full = np.concatenate([np.zeros((traj.v.shape[0], 1)), traj.v], axis=1)
-    curv = np.concatenate(
-        [traj.w @ model.curvature_rows.T, np.zeros((traj.w.shape[0], 1))], axis=1
-    )
-    return _trapezoid_rows(weight[None, :] * (v_full**2 + 3.0 * curv**2), model.dx)
-
-
 def rho_derivative_check(traj: BeamTrajectory) -> float:
     """Max residual of d(rho)/dt = -(1/2) int (2x-1)(w_t^2 + 3 w_xx^2) dx
     - w_x(1)^2 at interior grid times (homogeneous trajectories)."""
-    model, g = traj.model, traj.grid
-    x = model.nodes()
-    rhs = -0.5 * _energy_density_integral(traj, 2.0 * x - 1.0) - traj.trace.w_x_1**2
-    lhs = _central_dt(traj.trace.rho, g.dt)
-    return float(np.max(np.abs(lhs - rhs[1:-1])))
+    tr = traj.trace
+    rhs = -0.5 * tr.density_moment - tr.w_x_1**2
+    return float(np.max(np.abs(_central_dt(tr.rho, traj.grid.dt) - rhs[1:-1])))
 
 
 def rho1_derivative_check(traj: BeamTrajectory) -> float:
     """Max residual of d(rho1)/dt = (1/2) w_xx(0)^2
     - (1/2) int (w_t^2 + 3 w_xx^2) dx at interior grid times."""
-    model, g = traj.model, traj.grid
-    rhs = 0.5 * traj.trace.w_xx_0**2 - 0.5 * _energy_density_integral(traj, np.ones(model.N + 2))
-    lhs = _central_dt(traj.trace.rho1, g.dt)
-    return float(np.max(np.abs(lhs - rhs[1:-1])))
+    tr = traj.trace
+    rhs = 0.5 * tr.w_xx_0**2 - 0.5 * tr.density
+    return float(np.max(np.abs(_central_dt(tr.rho1, traj.grid.dt) - rhs[1:-1])))
 
 
 def _transfer_parts(s: float) -> tuple[float, float, float, float]:
@@ -638,7 +632,9 @@ def random_smooth_state(model: BeamModel, rng: np.random.Generator,
                         energy_level: float = 1.0) -> BeamState:
     """Random state in the lowest 6 modes, normalized to the requested
     discrete energy. Coefficients decay like 1/j^2 so the traces stay
-    grid-resolved."""
+    grid-resolved. Refuses a negative or non-finite energy_level."""
+    if not 0.0 <= energy_level < math.inf:
+        raise ValueError(f"energy_level must be nonnegative and finite, got {energy_level}")
     omega, V = model.modal_basis()
     n_modes = min(6, len(omega))
     eta = np.zeros(len(omega))

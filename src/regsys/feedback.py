@@ -152,7 +152,7 @@ def k0_bound(norms: dict) -> float:
       control_norm - norm of its input map
       pert_io_norm - norm of the perturbing system's input-output map
       radius       - smallest singular value of the perturbing input map
-                     (the radius of surjectivity s0), must be positive
+                     (the radius of surjectivity s0), must be positive and finite
 
     k0 = min( 1/d_norm, 1/io_norm,
               radius / (control_norm * pert_io_norm + radius * io_norm) )
@@ -166,6 +166,8 @@ def k0_bound(norms: dict) -> float:
     for name, val in (("d_norm", d), ("io_norm", f), ("control_norm", phi), ("pert_io_norm", f_pert)):
         if val < 0 or not np.isfinite(val):
             raise ValueError(f"{name} must be finite and nonnegative, got {val}")
+    if not np.isfinite(s0):
+        raise ValueError(f"radius must be finite, got {s0}")
     if s0 <= 0:
         raise ControllabilityError(
             f"radius of surjectivity must be positive, got {s0} (not exactly controllable)"

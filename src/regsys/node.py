@@ -536,6 +536,8 @@ def regularity_limit(r: Realization, lambda_sweep, u) -> dict:
     u = np.asarray(u).reshape(-1)
     if u.shape[0] != r.m:
         raise ShapeError(f"input dimension {u.shape[0]} does not match m={r.m}")
+    if not np.all(np.isfinite(u)):
+        raise ShapeError("u contains non-finite entries")
     target = r.D @ u
     values = [transfer(r, lam) @ u for lam in sweep]
     errors = np.array([np.linalg.norm(v - target) for v in values])
@@ -566,6 +568,8 @@ def lambda_extension(r: Realization, x, lambda_sweep) -> dict:
     x = np.asarray(x).reshape(-1)
     if x.shape[0] != r.n:
         raise ShapeError(f"state dimension {x.shape[0]} does not match n={r.n}")
+    if not np.all(np.isfinite(x)):
+        raise ShapeError("x contains non-finite entries")
     target = r.C @ x
     fed = Realization(r.A, x[:, None], r.C, np.zeros((r.p, 1)))
     values = [lam * transfer(fed, lam)[:, 0] for lam in sweep]

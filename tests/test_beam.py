@@ -166,6 +166,12 @@ class TestEnergy:
             st0 = random_smooth_state(model, rng, energy_level=level)
             assert energy(model, st0) == pytest.approx(level, rel=1e-9)
 
+    @pytest.mark.parametrize("level", [-1.0, np.nan, np.inf])
+    def test_random_smooth_state_refuses_bad_energy_level(self, level):
+        # before: a bare "math domain error", or "state entries must be finite"
+        with pytest.raises(ValueError, match="energy_level"):
+            random_smooth_state(beam_model(20), np.random.default_rng(0), energy_level=level)
+
     def test_homogeneous_energy_conserved(self):
         model = beam_model(100)
         rng = np.random.default_rng(1)
@@ -349,6 +355,104 @@ class TestMultipliers:
         st5 = traj.state_at(5)
         np.testing.assert_array_equal(st5.w, traj.w[5])
         assert st5.t == pytest.approx(traj.grid.nodes[5])
+
+
+def _trajectory(kind, N=120, n_steps=400):
+    """A free, forced (from a random state) or feedback trajectory."""
+    model = beam_model(N, {"free": "homogeneous", "forced": "shear-input",
+                           "feedback": "shear-feedback"}[kind], k=0.5)
+    g = TimeGrid(0.5, n_steps)
+    rng = np.random.default_rng(11)
+    st0 = random_smooth_state(beam_model(N), rng)
+    u = Signal(g, np.sin(9.0 * g.nodes)[:, None]) if kind == "forced" else None
+    return simulate(model, g, u=u, state0=st0)
+
+
+def _density_oracle(traj, weight):
+    """int weight(x) (w_t^2 + 3 w_xx^2) dx at every time by the per-time
+    quadrature that preceded the functional pass: the velocity with its
+    clamped zero, the curvature rows w T' with a zero free-end column, and
+    the trapezoid rule over nodes 0..N+1. Evaluated in long double with T
+    rebuilt from its integer stencil coefficients, so that the oracle's own
+    cancellation (each product with a 1/dx^2 entry rounds before the
+    stencil cancels, 7.6e-13 F at N = 200 in double) stays far below the
+    tolerance."""
+    ld = np.longdouble
+    model, rows = traj.model, len(traj.w)
+    dx = ld(model.dx)
+    T = np.rint(model.curvature_rows * model.dx**2).astype(ld) / dx**2
+    v_full = np.concatenate([np.zeros((rows, 1), ld), traj.v.astype(ld)], axis=1)
+    curv = np.concatenate([traj.w.astype(ld) @ T.T, np.zeros((rows, 1), ld)], axis=1)
+    vals = np.asarray(weight, ld)[None, :] * (v_full**2 + 3 * curv**2)
+    return dx * (np.sum(vals, axis=1) - (vals[:, 0] + vals[:, -1]) / 2)
+
+
+class TestFunctionalPass:
+    @pytest.mark.parametrize("kind", ["free", "forced", "feedback"])
+    def test_one_state_matches_its_trace_row(self, kind):
+        traj = _trajectory(kind)
+        tr, eps = traj.trace, np.finfo(float).eps
+        for j in range(0, len(traj.w), 7):
+            state, f = traj.state_at(j), tr.F[j]
+            assert abs(energy(traj.model, state) - f) <= 16 * eps * f
+            assert abs(multiplier_rho(traj.model, state) - tr.rho[j]) <= 16 * eps * f
+            assert abs(multiplier_rho1(traj.model, state) - tr.rho1[j]) <= 16 * eps * f
+
+    @pytest.mark.parametrize("kind", ["free", "forced", "feedback"])
+    def test_a_block_of_times_gives_the_trace_rows(self, kind):
+        # a time block is summed over the same nodes in the same order, so
+        # the values are the trace's bit for bit, at any block boundary
+        traj = _trajectory(kind)
+        got = regsys.beam._functionals(traj.model, traj.w[37:250], traj.v[37:250])
+        for name, values in got.items():
+            np.testing.assert_array_equal(values, getattr(traj.trace, name)[37:250], err_msg=name)
+
+    @pytest.mark.parametrize("kind", ["free", "forced", "feedback"])
+    def test_density_quadratures_match_oracle(self, kind):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("long double is no wider than double on this platform")
+        traj = _trajectory(kind)
+        x = traj.model.nodes()
+        density = _density_oracle(traj, np.ones_like(x))
+        moment = _density_oracle(traj, 2.0 * x - 1.0)
+        # |2x - 1| <= 1, so the density bounds the moment as well
+        assert np.max(np.abs(traj.trace.density - density) / density) <= 1e-13
+        assert np.max(np.abs(traj.trace.density_moment - moment) / density) <= 1e-13
+
+    def test_derivative_checks_form_no_nodal_array(self):
+        N, n_steps = 200, 2000
+        model = beam_model(N)
+        omega, V = model.modal_basis()
+        traj = simulate(model, TimeGrid(0.5, n_steps),
+                        state0=BeamState(V[:, 0] / omega[0], np.zeros(model.n_dof)))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            rho_derivative_check(traj)
+            rho1_derivative_check(traj)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_steps + 1) * (N + 2) * 8
+
+    @pytest.mark.parametrize("N", [8, 57, 200])
+    def test_stencils_build_the_model_rows_exactly(self, N):
+        # the stencils that the functional pass applies, applied to the
+        # identity, are the curvature rows and the tip slope row entry by entry
+        model = beam_model(N)
+        nd, dx = N + 1, model.dx
+        T = np.zeros((nd, nd))
+        T[0, 0] = 2.0 / dx**2
+        for i in range(1, nd):
+            if i >= 2:
+                T[i, i - 2] = 1.0 / dx**2
+            T[i, i - 1] = -2.0 / dx**2
+            T[i, i] = 1.0 / dx**2
+        slope = np.zeros(nd)
+        slope[-3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * dx)
+        assert np.array_equal(model.curvature_rows, T) and model.curvature_rows.flags.c_contiguous
+        assert np.array_equal(model.slope_tip_row, slope)
 
 
 class TestBoundaryBridge:

@@ -59,6 +59,26 @@ class TestRun:
         # every check of the kind, in report order, at its default tolerance
         assert [(a["name"], a["direction"], a["tolerance"]) for a in report["assertions"]] == CHECKS[kind]
 
+    @pytest.mark.parametrize("kind, name", [
+        ("compose-across", "perturb_across"), ("compose-cross", "perturb_cross"),
+        ("compose-double", "perturb_double"), ("compose-across", "across_instance"),
+        ("compose-double", "double_instance"), ("k0-sweep", "across_instance"),
+        ("theta0-sweep", "cross_instance"),
+    ])
+    def test_kinds_resolve_their_functions_at_call_time(self, monkeypatch, kind, name):
+        # a tracer or a spy rebinds the module attribute; the run must reach it
+        import regsys.cli
+
+        real, calls = getattr(regsys.cli, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regsys.cli, name, spy)
+        assert run({"kind": kind, "seed": 0, "trials": 1}, profile=QUICK)["passed"]
+        assert calls == [1]
+
     def test_deterministic_up_to_wall_time(self):
         cfg = {"kind": "quadruple-identities", "seed": 7}
         a = run(cfg, profile=QUICK)

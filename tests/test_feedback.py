@@ -74,6 +74,21 @@ class TestGainBounds:
         with pytest.raises(ValueError):
             k0_bound(norms)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+    def test_k0_refuses_non_finite_radius(self, radius):
+        # min() skips NaN and inf / inf is NaN, so the surjectivity term
+        # would vanish and leave min(1/d, 1/f) = 2
+        norms = {"d_norm": 0.5, "io_norm": 0.4, "control_norm": 2.0,
+                 "pert_io_norm": 0.3, "radius": radius}
+        with pytest.raises(ValueError, match="radius"):
+            k0_bound(norms)
+
+    def test_theta0_refuses_infinite_obs_constant(self):
+        norms = {"d_norm": 0.5, "io_norm": 0.4, "pert_io_norm": 0.3,
+                 "obs_norm": 2.0, "obs_constant": np.inf, "alpha0": 0.5}
+        with pytest.raises(ValueError, match="radius"):
+            theta0_bound(norms)
+
     def test_theta0_worked_example(self):
         # min(inf, 1/1, (1/2)/((1/2)*1 + 1*2)) = 1/5
         norms = {"d_norm": 0.0, "io_norm": 1.0, "pert_io_norm": 1.0,

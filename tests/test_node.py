@@ -421,6 +421,17 @@ class TestLimits:
         with pytest.raises(ShapeError):
             regularity_limit(r, [1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_regularity_limit_refuses_non_finite_u(self, bad):
+        # NaN would give NaN values and rate -inf, the sentinel for "converged exactly"
+        r = scalar_system()
+        with pytest.raises(ShapeError, match="u contains non-finite"):
+            regularity_limit(r, [1.0, 2.0, 4.0], [bad])
+
+    def test_lambda_extension_refuses_non_finite_x_by_name(self):
+        with pytest.raises(ShapeError, match="x contains non-finite"):
+            lambda_extension(scalar_system(), [np.nan], [1.0, 2.0])
+
     def test_lambda_extension_converges_to_cx(self):
         rng = np.random.default_rng(9)
         r = random_realization(rng, 4, 1, 2, io_scale=None)
