@@ -402,12 +402,20 @@ def simulate(model: BeamModel, g: TimeGrid, u: Signal | None = None,
         eta0 = proj @ state0.w
         etadot0 = proj @ state0.v
         if u is None:
+            # eta is built in the cosine table and every modal array dropped once
+            # its nodal product is taken: at most four arrays of w's size alive
             coswt, sinwt = _phase_tables(omega, g.dt, len(times))
-            etadot = (-omega[:, None] * sinwt) * eta0[:, None] + coswt * etadot0[:, None]
+            etadot = -omega[:, None] * sinwt
+            etadot *= eta0[:, None]
+            etadot += coswt * etadot0[:, None]
             sinwt /= omega[:, None]
-            eta = coswt * eta0[:, None] + sinwt * etadot0[:, None]
-            w = (V @ eta).T
+            sinwt *= etadot0[:, None]
+            coswt *= eta0[:, None]
+            coswt += sinwt
+            w = (V @ coswt).T
+            del coswt, sinwt
             v = (V @ etadot).T
+            del etadot
         else:
             # modal force: V' M (M^-1 (-e_tip)) u = -(V' e_tip) u
             force_dir = -V.T[:, -1]
@@ -447,16 +455,14 @@ def _trapezoid_rows(values: np.ndarray, dx: float) -> np.ndarray:
 
 def _free_states(model: BeamModel, rng: np.random.Generator, trials: int) -> tuple:
     """(eta0, etadot0, F(0), drift): the initial modal coordinates (modes x
-    trials) of `trials` random smooth homogeneous states, drawn in turn from
-    rng, with the F(0) and certified drift of `_certified_drift`. No table
-    is built."""
-    _, V = model.modal_basis()
-    w0, v0 = np.empty((2, model.n_dof, trials))
+    trials) of `trials` random smooth homogeneous states, `_smooth_modes`
+    drawn in turn from rng and left unnormalized (every ratio the drivers
+    form is scale-free), with the F(0) and certified drift of
+    `_certified_drift`. No nodal state and no table is built."""
+    omega, _ = model.modal_basis()
+    eta0, etadot0 = np.empty((2, len(omega), trials))
     for i in range(trials):
-        state0 = random_smooth_state(model, rng)
-        w0[:, i], v0[:, i] = state0.w, state0.v
-    proj = V.T * model.masses[None, :]
-    eta0, etadot0 = proj @ w0, proj @ v0
+        eta0[:, i], etadot0[:, i] = _smooth_modes(omega, rng)
     return (eta0, etadot0, *_certified_drift(model, eta0, etadot0))
 
 
@@ -636,18 +642,25 @@ def random_smooth_state(model: BeamModel, rng: np.random.Generator,
     if not 0.0 <= energy_level < math.inf:
         raise ValueError(f"energy_level must be nonnegative and finite, got {energy_level}")
     omega, V = model.modal_basis()
-    n_modes = min(6, len(omega))
-    eta = np.zeros(len(omega))
-    etadot = np.zeros(len(omega))
-    decay = 1.0 / np.arange(1, n_modes + 1) ** 2
-    eta[:n_modes] = rng.standard_normal(n_modes) * decay / np.maximum(omega[:n_modes], 1.0)
-    etadot[:n_modes] = rng.standard_normal(n_modes) * decay
+    eta, etadot = _smooth_modes(omega, rng)
     state = BeamState(V @ eta, V @ etadot)
     f = energy(model, state)
     if f <= 0:
         return state
     scale = math.sqrt(energy_level / f)
     return BeamState(state.w * scale, state.v * scale)
+
+
+def _smooth_modes(omega: np.ndarray, rng: np.random.Generator) -> tuple:
+    """(eta, etadot) in the lowest 6 modes, drawn from rng in that order, decaying
+    like 1/j^2; eta is also divided by max(omega_j, 1)."""
+    n_modes = min(6, len(omega))
+    eta = np.zeros(len(omega))
+    etadot = np.zeros(len(omega))
+    decay = 1.0 / np.arange(1, n_modes + 1) ** 2
+    eta[:n_modes] = rng.standard_normal(n_modes) * decay / np.maximum(omega[:n_modes], 1.0)
+    etadot[:n_modes] = rng.standard_normal(n_modes) * decay
+    return eta, etadot
 
 
 def _smooth_input(g: TimeGrid, rng: np.random.Generator, n_harmonics: int = 8) -> Signal:

@@ -354,8 +354,9 @@ class FeedInReport:
     realization holds (A closed, composite B from the feedthrough formula,
     retained observation on the closed domain, composite feedthrough).
     Deviations compare the formula route against the direct restriction of
-    the closed-loop triple; residual traces come from the feedthrough
-    sweeps.
+    the closed-loop triple. Feedthroughs are named {obs}_bar_{channel} and
+    the residual traces of their sweeps {obs}_{channel}, plus composite,
+    the closed loop's own sweep, when the secondary trace is the input.
     """
 
     realization_matrices: dict
@@ -405,29 +406,7 @@ def feed_in_observe(bt: BoundaryTriple, lambda_sweep: np.ndarray | None = None) 
     """
     if bt.W is None:
         raise ShapeError("feed_in_observe needs a W observation to feed back")
-    if bt.W.shape[0] != bt.G.shape[0]:
-        raise ShapeError("W must have as many rows as the primary trace to close the loop")
-    rg = restrict_generator(bt)
-    est = _feedthrough_estimates(bt, lambda_sweep, [("primary", "W"), ("primary", "K")])
-    q_bar = _require_feedthrough(est["primary", "W"], "feedback observation")
-    k_bar = _require_feedthrough(est["primary", "K"], "retained observation")
-    eye = np.eye(q_bar.shape[0])
-    inv_loop = _checked_solve(eye - q_bar, eye, _LOOP_RTOL, AdmissibilityError,
-                              "I minus the feedback feedthrough")
-    c_formula = bt.K @ rg.basis + k_bar @ inv_loop @ (bt.W @ rg.basis)
-
-    rg_cl = restrict_generator(BoundaryTriple(L=bt.L, G=bt.G - bt.W, G2=bt.G2, K=bt.K))
-    c_direct = bt.K @ rg_cl.basis
-
-    return FeedInReport(
-        realization_matrices={"a": rg_cl.a, "c": c_formula, "c_direct": c_direct},
-        deviation_b=None,
-        deviation_c=_rel(c_formula, c_direct),
-        deviation_d=None,
-        feedthroughs={"q_bar": q_bar, "k_bar": k_bar},
-        residual_traces={"feedback": est["primary", "W"].residuals,
-                         "retained": est["primary", "K"].residuals},
-    )
+    return _feed_in(bt, "W", "K", lambda_sweep, through=False)
 
 
 def feed_in_full(bt: BoundaryTriple, lambda_sweep: np.ndarray | None = None) -> FeedInReport:
@@ -441,45 +420,46 @@ def feed_in_full(bt: BoundaryTriple, lambda_sweep: np.ndarray | None = None) -> 
     sweep)."""
     if bt.G2 is None or bt.W is None:
         raise ShapeError("feed_in_full needs a secondary trace and a W observation")
-    if bt.K.shape[0] != bt.G.shape[0]:
-        raise ShapeError("K must have as many rows as the primary trace to close the loop")
+    return _feed_in(bt, "K", "W", lambda_sweep, through=True)
+
+
+def _feed_in(bt: BoundaryTriple, loop: str, out: str, lambda_sweep, through: bool) -> FeedInReport:
+    """Close (primary trace) = loop z and observe out by `feed_in_full`'s formulas with (K, W) =
+    (loop, out); the secondary trace is the input when `through`, else a homogeneous constraint."""
+    loop_rows, out_rows = _observation_block(bt, loop), _observation_block(bt, out)
+    if loop_rows.shape[0] != bt.G.shape[0]:
+        raise ShapeError(f"{loop} must have as many rows as the primary trace to close the loop")
     rg = restrict_generator(bt)
-    b1 = rg.control[:, _channel_block(bt, "primary")]
-    b2 = rg.control[:, _channel_block(bt, "secondary")]
-    est = _feedthrough_estimates(bt, lambda_sweep, [(ch, obs) for ch in ("primary", "secondary")
-                                                    for obs in ("K", "W")])
-    k1 = _require_feedthrough(est["primary", "K"], "K primary")
-    k2 = _require_feedthrough(est["secondary", "K"], "K secondary")
-    w1 = _require_feedthrough(est["primary", "W"], "W primary")
-    w2 = _require_feedthrough(est["secondary", "W"], "W secondary")
-    eye = np.eye(k1.shape[0])
-    inv_loop = _checked_solve(eye - k1, eye, _LOOP_RTOL, AdmissibilityError,
+    channels = ("primary", "secondary") if through else ("primary",)
+    pairs = [(ch, obs) for obs in (loop, out) for ch in channels]
+    est = _feedthrough_estimates(bt, lambda_sweep, pairs)
+    bar = {(ch, obs): _require_feedthrough(est[ch, obs], f"{obs} {ch}") for ch, obs in pairs}
+    eye = np.eye(bt.G.shape[0])
+    inv_loop = _checked_solve(eye - bar["primary", loop], eye, _LOOP_RTOL, AdmissibilityError,
                               "I minus the feedback feedthrough")
-    b_formula = b1 @ inv_loop @ k2 + b2
-    d_formula = w1 @ inv_loop @ k2 + w2
-    # retained observation on the closed domain, composed through the loop
-    c_formula = bt.W @ rg.basis + w1 @ inv_loop @ (bt.K @ rg.basis)
-
-    # the closed loop G z = K z; the secondary trace becomes its input
-    closed = BoundaryTriple(L=bt.L, G=bt.G2, G2=bt.G - bt.K, K=bt.K, W=bt.W)
+    # the output on the closed domain, composed through the loop
+    matrices = {"c": out_rows @ rg.basis + bar["primary", out] @ inv_loop @ (loop_rows @ rg.basis)}
+    # the closed loop G z = loop z; with `through` the secondary trace is its input
+    g, g2 = (bt.G2, bt.G - loop_rows) if through else (bt.G - loop_rows, bt.G2)
+    closed = BoundaryTriple(L=bt.L, G=g, G2=g2, K=bt.K, W=bt.W)
     rg_cl = restrict_generator(closed)
-    b_direct = rg_cl.control[:, _channel_block(closed, "primary")]
-    c_direct = bt.W @ rg_cl.basis
-    est_d = feedthrough_estimate(closed, lambda_sweep, "primary", "W")
-    d_direct = _require_feedthrough(est_d, "composite")
-
+    matrices.update(a=rg_cl.a, c_direct=out_rows @ rg_cl.basis)
+    traces = {f"{obs.lower()}_{ch}": est[ch, obs].residuals for ch, obs in pairs}
+    if through:
+        b1, b2 = (rg.control[:, _channel_block(bt, ch)] for ch in channels)
+        est_d = feedthrough_estimate(closed, lambda_sweep, "primary", out)
+        matrices.update(b=b1 @ inv_loop @ bar["secondary", loop] + b2,
+                        b_direct=rg_cl.control[:, _channel_block(closed, "primary")],
+                        d=bar["primary", out] @ inv_loop @ bar["secondary", loop] + bar["secondary", out],
+                        d_direct=_require_feedthrough(est_d, "composite"))
+        traces["composite"] = est_d.residuals
     return FeedInReport(
-        realization_matrices={"a": rg_cl.a, "b": b_formula, "b_direct": b_direct,
-                              "c": c_formula, "c_direct": c_direct,
-                              "d": d_formula, "d_direct": d_direct},
-        deviation_b=_rel(b_formula, b_direct),
-        deviation_c=_rel(c_formula, c_direct),
-        deviation_d=_rel(d_formula, d_direct),
-        feedthroughs={"k_bar_primary": k1, "k_bar_secondary": k2,
-                      "w_bar_primary": w1, "w_bar_secondary": w2},
-        residual_traces={"w_primary": est["primary", "W"].residuals,
-                         "w_secondary": est["secondary", "W"].residuals,
-                         "composite": est_d.residuals},
+        realization_matrices=dict(sorted(matrices.items())),
+        deviation_b=_rel(matrices["b"], matrices["b_direct"]) if through else None,
+        deviation_c=_rel(matrices["c"], matrices["c_direct"]),
+        deviation_d=_rel(matrices["d"], matrices["d_direct"]) if through else None,
+        feedthroughs={f"{obs.lower()}_bar_{ch}": value for (ch, obs), value in bar.items()},
+        residual_traces=traces,
     )
 
 

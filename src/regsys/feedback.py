@@ -143,6 +143,15 @@ def closed_loop(r: Realization, fb: FeedbackGain) -> Realization:
     )
 
 
+def _finite(norms: dict, name: str, nonnegative: bool = False) -> float:
+    """norms[name] as a float, refused by name (ValueError) when it is not
+    finite or, with `nonnegative`, when it is negative."""
+    val = float(norms[name])
+    if not np.isfinite(val) or (nonnegative and val < 0):
+        raise ValueError(f"{name} must be finite{' and nonnegative' if nonnegative else ''}, got {val}")
+    return val
+
+
 def k0_bound(norms: dict) -> float:
     """Guaranteed controllability-preserving gain range (0, k0).
 
@@ -158,16 +167,9 @@ def k0_bound(norms: dict) -> float:
               radius / (control_norm * pert_io_norm + radius * io_norm) )
     with the convention 1/0 = +inf.
     """
-    d = float(norms["d_norm"])
-    f = float(norms["io_norm"])
-    phi = float(norms["control_norm"])
-    f_pert = float(norms["pert_io_norm"])
-    s0 = float(norms["radius"])
-    for name, val in (("d_norm", d), ("io_norm", f), ("control_norm", phi), ("pert_io_norm", f_pert)):
-        if val < 0 or not np.isfinite(val):
-            raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-    if not np.isfinite(s0):
-        raise ValueError(f"radius must be finite, got {s0}")
+    d, f, phi, f_pert = (_finite(norms, name, nonnegative=True)
+                         for name in ("d_norm", "io_norm", "control_norm", "pert_io_norm"))
+    s0 = _finite(norms, "radius")
     if s0 <= 0:
         raise ControllabilityError(
             f"radius of surjectivity must be positive, got {s0} (not exactly controllable)"
@@ -196,16 +198,18 @@ def theta0_bound(norms: dict) -> float:
                   ((obs_constant - alpha0) io_norm + pert_io_norm obs_norm) )
     with the convention 1/0 = +inf: k0 of the dual side, with obs_norm for
     control_norm and obs_constant - alpha0 for the radius. + and * commute
-    in IEEE arithmetic, so k0_bound gives it bit for bit.
+    in IEEE arithmetic, so k0_bound gives it bit for bit. A non-finite
+    obs_constant or alpha0 and a negative or non-finite obs_norm are
+    refused by name (ValueError) before k0_bound sees them.
     """
-    k_obs = float(norms["obs_constant"])
-    alpha0 = float(norms["alpha0"])
+    k_obs, alpha0 = _finite(norms, "obs_constant"), _finite(norms, "alpha0")
+    obs_norm = _finite(norms, "obs_norm", nonnegative=True)
     if not (0.0 < alpha0 < k_obs):
         raise ValueError(
             f"alpha0 must lie strictly between 0 and the observability constant "
             f"{k_obs}, got {alpha0}"
         )
-    return k0_bound(dict(norms, control_norm=norms["obs_norm"], radius=k_obs - alpha0))
+    return k0_bound(dict(norms, control_norm=obs_norm, radius=k_obs - alpha0))
 
 
 @dataclass(frozen=True, eq=False)

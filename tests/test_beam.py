@@ -671,6 +671,51 @@ class TestModalEngine:
             tracemalloc.stop()
         assert peak <= 2.5 * table_bytes
 
+    def test_free_simulate_holds_four_nodal_arrays(self):
+        # the free path builds eta in the cosine table and drops every
+        # modal array before the trace pass; w and v are bit for bit those
+        # of the expressions that formed whole temporaries
+        N, n_steps = 200, 2000
+        model, g = beam_model(N), TimeGrid(2.0, n_steps)
+        omega, V = model.modal_basis()
+        state0 = random_smooth_state(model, np.random.default_rng(3))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            traj = simulate(model, g, state0=state0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * (n_steps + 1) * model.n_dof * 8
+        proj = V.T * model.masses[None, :]
+        eta0, etadot0 = proj @ state0.w, proj @ state0.v
+        coswt, sinwt = regsys.beam._phase_tables(omega, g.dt, len(g))
+        etadot = (-omega[:, None] * sinwt) * eta0[:, None] + coswt * etadot0[:, None]
+        sinwt /= omega[:, None]
+        eta = coswt * eta0[:, None] + sinwt * etadot0[:, None]
+        assert np.array_equal(traj.w, (V @ eta).T)
+        assert np.array_equal(traj.v, (V @ etadot).T)
+
+    def test_free_states_draw_modal_coordinates(self, monkeypatch):
+        # the trials are `random_smooth_state`'s draws in modal
+        # coordinates, up to its normalization, with no nodal state or energy
+        model = beam_model(60)
+        omega, V = model.modal_basis()
+        state = random_smooth_state(model, np.random.default_rng(7))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("nodal state or energy evaluated")
+
+        monkeypatch.setattr(regsys.beam, "energy", unreachable)
+        monkeypatch.setattr(regsys.beam, "BeamState", unreachable)
+        eta0, etadot0, f0, _ = regsys.beam._free_states(model, np.random.default_rng(7), 1)
+        scale = 1.0 / math.sqrt(f0[0])  # random_smooth_state normalizes F to 1
+        proj = V.T * model.masses[None, :]
+        for modal, nodal in ((eta0[:, 0], state.w), (etadot0[:, 0], state.v)):
+            expect = proj @ nodal
+            assert np.max(np.abs(scale * modal - expect)) <= 1e-12 * np.max(np.abs(expect))
+
     @given(N=st.integers(8, 120), n_steps=st.integers(1, 600), trials=st.integers(0, 4),
            T=st.floats(0.2, 2.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

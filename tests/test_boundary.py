@@ -394,7 +394,44 @@ class TestFeedIn:
         bt = wave_triple(12)
         rep = feed_in_observe(bt, lambda_sweep=default_shift_sweep(bt, 18))
         assert rep.deviation_c <= 1e-6
-        assert rep.feedthroughs["q_bar"][0, 0] == pytest.approx(0.2, abs=1e-7)
+        assert rep.feedthroughs["w_bar_primary"][0, 0] == pytest.approx(0.2, abs=1e-7)
+
+    def test_feed_in_keys_follow_one_rule(self):
+        # feedthroughs are {obs}_bar_{channel} and residual traces
+        # {obs}_{channel}, the loop's observation first, for both closures
+        bt = wave_triple(12)
+        sweep = default_shift_sweep(bt, 18)
+        observe, full = feed_in_observe(bt, sweep), feed_in_full(bt, sweep)
+        assert list(observe.feedthroughs) == ["w_bar_primary", "k_bar_primary"]
+        assert list(observe.residual_traces) == ["w_primary", "k_primary"]
+        assert list(full.feedthroughs) == ["k_bar_primary", "k_bar_secondary",
+                                           "w_bar_primary", "w_bar_secondary"]
+        assert list(full.residual_traces) == ["k_primary", "k_secondary", "w_primary",
+                                              "w_secondary", "composite"]
+        gains = {"k_bar_primary": 0.4, "k_bar_secondary": 0.3,
+                 "w_bar_primary": 0.2, "w_bar_secondary": 0.5}
+        for rep in (observe, full):
+            for key, value in rep.feedthroughs.items():
+                assert value[0, 0] == pytest.approx(gains[key], abs=1e-7), key
+        assert list(observe.realization_matrices) == ["a", "c", "c_direct"]
+        assert observe.deviation_b is None and observe.deviation_d is None
+        assert list(full.realization_matrices) == ["a", "b", "b_direct", "c", "c_direct",
+                                                   "d", "d_direct"]
+
+    def test_wave_feed_ins_keep_their_refusals(self):
+        bt = wave_triple(12)
+        no_w = BoundaryTriple(L=bt.L, G=bt.G, K=bt.K, G2=bt.G2)
+        with pytest.raises(ShapeError, match="W observation"):
+            feed_in_observe(no_w)
+        with pytest.raises(ShapeError, match="secondary trace and a W"):
+            feed_in_full(no_w)
+        with pytest.raises(ShapeError, match="secondary trace and a W"):
+            feed_in_full(BoundaryTriple(L=bt.L, G=bt.G, K=bt.K, W=bt.W))
+        two_rows = np.vstack([bt.W, bt.K])
+        with pytest.raises(ShapeError, match="W must have as many rows"):
+            feed_in_observe(BoundaryTriple(L=bt.L, G=bt.G, K=bt.K, G2=bt.G2, W=two_rows))
+        with pytest.raises(ShapeError, match="K must have as many rows"):
+            feed_in_full(BoundaryTriple(L=bt.L, G=bt.G, K=two_rows, G2=bt.G2, W=bt.W))
 
     def test_feed_in_full_needs_secondary_trace(self):
         with pytest.raises(ShapeError):

@@ -86,8 +86,21 @@ class TestGainBounds:
     def test_theta0_refuses_infinite_obs_constant(self):
         norms = {"d_norm": 0.5, "io_norm": 0.4, "pert_io_norm": 0.3,
                  "obs_norm": 2.0, "obs_constant": np.inf, "alpha0": 0.5}
-        with pytest.raises(ValueError, match="radius"):
+        with pytest.raises(ValueError, match="obs_constant"):
             theta0_bound(norms)
+
+    @pytest.mark.parametrize("name, value", [
+        ("obs_constant", np.inf), ("obs_constant", np.nan), ("obs_constant", -np.inf),
+        ("alpha0", np.nan), ("alpha0", np.inf),
+        ("obs_norm", np.nan), ("obs_norm", np.inf), ("obs_norm", -1.0),
+    ])
+    def test_theta0_refusal_names_the_parameter(self, name, value):
+        # each refusal names the offending entry, not the k0 parameter
+        # (radius, control_norm) it would become or the alpha0 range
+        norms = {"d_norm": 0.5, "io_norm": 0.4, "pert_io_norm": 0.3,
+                 "obs_norm": 2.0, "obs_constant": 1.0, "alpha0": 0.5}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            theta0_bound(dict(norms, **{name: value}))
 
     def test_theta0_worked_example(self):
         # min(inf, 1/1, (1/2)/((1/2)*1 + 1*2)) = 1/5
