@@ -191,9 +191,11 @@ def dirichlet_map(bt: BoundaryTriple, lam: float, channel: str = "primary") -> D
     """Solution z of [(lam - L) interior rows; traces] z = [0; indicator]
     for the selected channel, one column per channel input.
 
-    Computed as D_lam = basis (lam - A)^-1 B + p (module docstring), one
-    n x n LU per shift. Raises SpectrumError when lam is numerically an
-    eigenvalue of the restriction (the rcond gate of `transfer`).
+    Computed as D_lam = basis (lam - A)^-1 B + p (module docstring) by one
+    `transfer` call: a banded LU where the chart's generator A has a band
+    plan, as every beam and wave chart of the suite does, else a dense one.
+    Raises SpectrumError when lam is numerically an eigenvalue of the
+    restriction (the rcond gate of `transfer`).
     """
     chart, cols = bt._chart, _channel_block(bt, channel)
     lift = Realization(chart.a, chart.control[:, cols], chart.basis, chart.lift[:, cols])

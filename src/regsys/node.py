@@ -35,7 +35,12 @@ Lanczos kernel on the Gram operator, never formed, unless 64 steps leave it
 uncertified. The operator is dense mat-vecs, or FFT block convolutions for
 an io-map carried as its N Markov blocks (`_markov`). Every solve that can
 be refused as singular goes through `_checked_solve`: one LU and its 1-norm
-condition estimate. The grid loop I - F is solved on its blocks by
+condition estimate. The LU is dense, or banded where A is a stencil in
+disguise: `transfer` shifts the band plan of A (`_band_plan`, a reverse
+Cuthill-McKee order and LAPACK band storage, made once per Realization), so
+each shift costs O(n kl (kl + ku)) instead of O(n^3). Whether a plan exists
+is read from A alone; a dense A is settled by one nonzero count, before any
+pattern is read. The grid loop I - F is solved on its blocks by
 `_loop_solve`, an inverse sequence by doubling whose residual certificate
 implies that this gate would accept; where it does not hold, the dense
 `_checked_solve` decides, so refusals still come only from it. Every verdict
@@ -147,25 +152,105 @@ def _lanczos_top(gram, k: int, dtype) -> float | None:
     return None
 
 
+@dataclass(frozen=True, eq=False)
+class _Band:
+    """An n x n matrix M held as M[perm][:, perm] in LAPACK band storage
+    (LAPACK Users' Guide, 3rd ed., sec. 5.3.3): with kl subdiagonals and
+    ku superdiagonals, entry (i, j) of the reordered matrix sits at
+    ab[kl + ku + i - j, j], below kl rows kept free for the LU's fill-in.
+    np.asarray gives M, dense."""
+
+    ab: np.ndarray
+    kl: int
+    ku: int
+    perm: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.ab.shape[1],) * 2
+
+    def shifted(self, lam) -> "_Band":
+        """lam I + M, in a new storage array."""
+        ab = self.ab.astype(np.result_type(self.ab, lam))
+        ab[self.kl + self.ku] += lam
+        return _Band(ab, self.kl, self.ku, self.perm)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        n = self.shape[0]
+        diag, j = np.indices((self.kl + self.ku + 1, n))
+        i = j + diag - self.ku
+        inside = (i >= 0) & (i < n)
+        dense = np.zeros((n, n), dtype=self.ab.dtype)
+        dense[self.perm[i[inside]], self.perm[j[inside]]] = self.ab[self.kl:][inside]
+        return dense if dtype is None else dense.astype(dtype)
+
+
+def _band_plan(A) -> _Band | None:
+    """-A as a `_Band` in the reverse Cuthill-McKee order of its symmetrized
+    pattern (Cuthill & McKee, "Reducing the bandwidth of sparse symmetric
+    matrices", ACM 1969), or None where the dense LU is the better buy: when
+    the band storage would fill more than a quarter of the n^2 entries. The
+    band holds every nonzero and at least n entries, so an A with more
+    nonzeros than that, or with n < 4, is settled by one count, before any
+    pattern is read or scipy.sparse is imported."""
+    n = len(A)
+    if 4 * max(np.count_nonzero(A), n) > n * n:
+        return None
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    pattern = A != 0
+    adj = np.flatnonzero(pattern | pattern.T)
+    graph = csr_array((np.ones(adj.size, dtype=bool), adj % n, np.searchsorted(adj, np.arange(n + 1) * n)),
+                      shape=(n, n))
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    where = np.empty(n, dtype=np.intp)
+    where[perm] = np.arange(n)
+    rows, cols = np.divmod(np.flatnonzero(pattern), n)
+    i, j = where[rows], where[cols]
+    kl, ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+    if 4 * (2 * kl + ku + 1) > n:
+        return None
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=A.dtype)
+    ab[kl + ku + i - j, j] = -A[rows, cols]
+    return _Band(ab, kl, ku, perm)
+
+
 def _checked_solve(mat, rhs, rtol: float, error: type, what: str) -> np.ndarray:
     """mat^-1 rhs behind the package's one singularity gate.
 
-    One LU, then LAPACK's 1-norm condition estimate rcond (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., ch. 15), so that
-    rcond * ||mat||_1 estimates sigma_min to within a factor of n. Raises
-    error when rcond is not finite or rcond * ||mat||_1 <= rtol *
-    max(||mat||_1, 1). An exactly singular matrix is refused the same way,
-    without a LinAlgWarning.
+    mat is a dense matrix or a `_Band`. One LU (the banded `gbtrf` for a
+    `_Band`, O(n kl (kl + ku)) work), then LAPACK's 1-norm condition
+    estimate rcond (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 15), so that rcond * ||mat||_1 estimates sigma_min to
+    within a factor of n. ||mat||_1 of a `_Band` is read from its columns,
+    which are those of M reordered. Raises error when rcond is not finite or
+    rcond * ||mat||_1 <= rtol * max(||mat||_1, 1). An exactly singular
+    matrix is refused the same way, without a LinAlgWarning.
     """
-    anorm = np.linalg.norm(mat, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(mat)
-    gecon = scipy.linalg.lapack.zgecon if np.iscomplexobj(lu) else scipy.linalg.lapack.dgecon
-    rcond, _ = gecon(lu, anorm)
+    lapack = scipy.linalg.lapack
+    if isinstance(mat, _Band):
+        kl, ku = mat.kl, mat.ku
+        ab = mat.ab.astype(np.result_type(mat.ab, rhs), copy=False)
+        anorm = float(np.max(np.sum(np.abs(ab[kl:]), axis=0)))
+        gbtrf, gbcon, gbtrs = ((lapack.zgbtrf, lapack.zgbcon, lapack.zgbtrs) if np.iscomplexobj(ab)
+                               else (lapack.dgbtrf, lapack.dgbcon, lapack.dgbtrs))
+        lu, piv, _ = gbtrf(ab, kl, ku)
+        rcond, _ = gbcon(kl, ku, lu, piv, anorm)
+    else:
+        anorm = np.linalg.norm(mat, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(mat)
+        gecon = lapack.zgecon if np.iscomplexobj(lu) else lapack.dgecon
+        rcond, _ = gecon(lu, anorm)
     if not np.isfinite(rcond) or rcond * anorm <= rtol * max(anorm, 1.0):
         raise error(f"{what} is numerically singular (rcond={rcond:.2e}, 1-norm {anorm:.2e})")
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+    if not isinstance(mat, _Band):
+        return scipy.linalg.lu_solve((lu, piv), rhs)
+    x = np.empty(np.shape(rhs), dtype=lu.dtype)
+    x[mat.perm] = gbtrs(lu, kl, ku, np.asarray(rhs)[mat.perm], piv)[0]
+    return x
 
 
 _EXACTNESS_RTOL = 1e-8
@@ -245,6 +330,12 @@ class Realization:
 
     def spectral_abscissa(self) -> float:
         return float(np.max(np.linalg.eigvals(self.A).real))
+
+    @cached_property
+    def _band(self) -> _Band | None:
+        """-A as `_band_plan` orders and stores it, or None for a dense A;
+        planned when `transfer` first reads it, then shared by every shift."""
+        return _band_plan(self.A)
 
     # serialization: {n, m, p, A, B, C, D}, matrices in the JSON matrix format
 
@@ -345,18 +436,18 @@ def _block_toeplitz(seq: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(windows[:, ::-1].transpose(1, 0, 2).reshape(N * p, N * m))
 
 
-def _block_conv(a: np.ndarray):
+def _block_conv(a: np.ndarray, fa=None):
     """b (N, k, m) -> c_i = sum_(j<=i) a_(i-j) b_j, i < N: T(a) b, or the
     Markov blocks of T(a) T(b) (Kailath & Sayed, Fast Reliable Algorithms
     for Matrices with Structure, SIAM 1999). a (N, p, k) is transformed once
     by an FFT of length 2N: fft when a is complex, which rfft refuses (as it
-    refuses a complex b with a real a), rfft otherwise."""
+    refuses a complex b with a real a), rfft otherwise. A caller that holds
+    that transform of a passes it as fa, and one of b as the keyword fb."""
     N, n = len(a), 2 * len(a)
-    if np.iscomplexobj(a):
-        fa = np.fft.fft(a, n, axis=0)
-        return lambda b: np.fft.ifft(np.einsum("fpk,fkm->fpm", fa, np.fft.fft(b, n, axis=0)), axis=0)[:N]
-    fa = np.fft.rfft(a, n, axis=0)
-    return lambda b: np.fft.irfft(np.einsum("fpk,fkm->fpm", fa, np.fft.rfft(b, n, axis=0)), n, axis=0)[:N]
+    fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(a) else (np.fft.rfft, np.fft.irfft)
+    fa = fft(a, n, axis=0) if fa is None else fa
+    return lambda b=None, fb=None: ifft(np.einsum("fpk,fkm->fpm", fa, fft(b, n, axis=0) if fb is None else fb),
+                                        n, axis=0)[:N]
 
 
 def _loop_solve(f, rhs, S, rtol: float, error: type, what: str) -> np.ndarray:
@@ -386,8 +477,10 @@ def _loop_solve(f, rhs, S, rtol: float, error: type, what: str) -> np.ndarray:
     t = -f
     t[0] += np.eye(m)
 
-    def residual(h):  # delta - t*h over len(h) blocks
-        r = -_block_conv(t[: len(h)])(h)
+    fft = np.fft.fft if np.iscomplexobj(t) else np.fft.rfft
+
+    def residual(h, fh):  # delta - t*h over len(h) blocks; fh is h's transform
+        r = -_block_conv(t[: len(h)])(fb=fh)
         r[0] += np.eye(m)
         return r
 
@@ -395,10 +488,12 @@ def _loop_solve(f, rhs, S, rtol: float, error: type, what: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # a growing h overflows: not certified
         while len(h) < N:
             h = np.concatenate((h, np.zeros_like(t[: min(len(h), N - len(h))])))
-            h = h + _block_conv(h)(residual(h))
-        rho, eta, tau = (float(np.linalg.norm(s, axis=(1, 2)).sum()) for s in (residual(h), h, t))
+            fh = fft(h, 2 * len(h), axis=0)  # one transform of h for both products
+            h = h + _block_conv(h, fh)(residual(h, fh))
+        fh = fft(h, 2 * N, axis=0)
+        rho, eta, tau = (float(np.linalg.norm(s, axis=(1, 2)).sum()) for s in (residual(h, fh), h, t))
     if rho < 1.0 and (1.0 - rho) / eta > N * m * rtol * max(tau, 1.0):
-        return _block_conv(h)(rhs)
+        return _block_conv(h, fh)(rhs)
     mat = np.eye(N * m) - _block_toeplitz(f)
     return _checked_solve(mat, rhs.reshape(N * m, -1), rtol, error, what).reshape(rhs.shape)
 
@@ -494,16 +589,18 @@ def io_map(r: Realization, g: TimeGrid, u: Signal) -> Signal:
 def transfer(r: Realization, lam: complex) -> np.ndarray:
     """G(lam) = C (lam I - A)^{-1} B + D.
 
-    Raises SpectrumError when lam is an eigenvalue of A up to working
-    precision: the gate of `_checked_solve` at rtol 1e3 * machine eps, and
-    ValueError when lam is not finite.
+    lam - A is factored dense, or in band storage where A has a band plan
+    (`Realization._band`, made on the first call and shared by every later
+    shift). Raises SpectrumError when lam is an eigenvalue of A up to
+    working precision: the gate of `_checked_solve` at rtol 1e3 * machine
+    eps, on either path, and ValueError when lam is not finite.
     """
     lam = complex(lam)
     if not np.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    Alam = lam * np.eye(r.n) - r.A
-    if np.isrealobj(r.A) and lam.imag == 0.0:
-        Alam = Alam.real
+    shift = lam.real if np.isrealobj(r.A) and lam.imag == 0.0 else lam
+    band = r._band
+    Alam = shift * np.eye(r.n) - r.A if band is None else band.shifted(shift)
     X = _checked_solve(Alam, r.B, 1e3 * np.finfo(float).eps, SpectrumError,
                        f"lambda - A at lambda={lam}")
     return r.C @ X + r.D

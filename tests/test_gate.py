@@ -1,10 +1,13 @@
 """The one singularity gate, `node._checked_solve`: its rule on matrices of
 known singular values, parity with the per-site SVD gates it replaced,
 every gated site at 1e-3 and 1e3 times its threshold, exactly singular
-input without a LinAlgWarning, and a scan that no other code factors,
-estimates or solves."""
+input without a LinAlgWarning, parity of its banded and dense paths, and a
+scan that no other code factors, estimates or solves."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +52,7 @@ from regsys import (
     wave_triple,
 )
 from regsys.feedback import _channels
-from regsys.node import _checked_solve, lifted_quadruple
+from regsys.node import _band_plan, _checked_solve, lifted_quadruple
 
 EPS = np.finfo(float).eps
 RTOLS = (1e3 * EPS, 1e-12, 1e-10, 1e-8)
@@ -418,6 +421,111 @@ class TestExactlySingularSites:
             feed_in_observe(bt, default_shift_sweep(bt, 18))
 
 
+def _scrambled_band(rng, n, kl, ku, complex_):
+    """A random n x n matrix with kl subdiagonals and ku superdiagonals, its
+    rows and columns scrambled by one random symmetric permutation."""
+    a = np.zeros((n, n), dtype=complex if complex_ else float)
+    for d in range(-kl, ku + 1):
+        size = n - abs(d)
+        a += np.diag(rng.standard_normal(size) + (1j * rng.standard_normal(size) if complex_ else 0.0), d)
+    q = rng.permutation(n)
+    return a[np.ix_(q, q)]
+
+
+def _verdict(mat, rhs):
+    """transfer's gate on mat: the solution, or None when refused."""
+    try:
+        return _checked_solve(mat, rhs, 1e3 * EPS, SpectrumError, "M")
+    except SpectrumError:
+        return None
+
+
+class TestBandPath:
+    # transfer factors lam - A in band storage where A has a band plan; the
+    # band and dense paths of the one gate must agree
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(64, 400), kl=st.integers(0, 4),
+           ku=st.integers(0, 4), complex_a=st.booleans(), complex_lam=st.booleans(),
+           depth=st.floats(0.0, 16.0))
+    def test_band_and_dense_agree(self, seed, n, kl, ku, complex_a, complex_lam, depth):
+        # lam sits 10^-depth ||A||_1 from an eigenvalue (a real lam from its
+        # real part), so both verdicts occur; they must match wherever the
+        # dense gate value is more than 10 times from its threshold, and
+        # accepted solutions agree to 10 n eps kappa_1
+        rng = np.random.default_rng(seed)
+        A = _scrambled_band(rng, n, kl, ku, complex_a)
+        band = _band_plan(A)
+        assert band is not None and max(band.kl, band.ku) <= max(kl, ku)
+        mu = rng.choice(np.linalg.eigvals(A))
+        lam = (mu if complex_lam else mu.real) + 10.0**-depth * np.linalg.norm(A, 1)
+        dense = lam * np.eye(n) - A
+        shifted = band.shifted(lam)
+        assert np.array_equal(np.asarray(shifted), dense)
+        rhs = rng.standard_normal((n, 2))
+        anorm = np.linalg.norm(dense, 1)
+        lapack = scipy.linalg.lapack  # getrf, unlike lu_factor, does not warn on an exact zero pivot
+        getrf, gecon = (lapack.zgetrf, lapack.zgecon) if np.iscomplexobj(dense) else (lapack.dgetrf, lapack.dgecon)
+        value = gecon(getrf(dense)[0], anorm)[0] * anorm / (1e3 * EPS * max(anorm, 1.0))
+        x_dense, x_band = _verdict(dense, rhs), _verdict(shifted, rhs)
+        if not 0.1 <= value <= 10.0:
+            assert (x_dense is None) == (x_band is None) == (value < 0.1)
+        if x_dense is not None and x_band is not None:
+            kappa = anorm * np.linalg.norm(np.linalg.inv(dense), 1)
+            assert np.max(np.abs(x_band - x_dense)) <= 10 * n * EPS * kappa * np.max(np.abs(x_dense))
+
+    @STRICT
+    @pytest.mark.parametrize("lam", [0.75, 0.75 + 0.5j])
+    def test_exact_eigenvalue_is_refused_on_both_paths(self, lam):
+        # row 17 of lam - A is exactly zero, so lam is an eigenvalue of A
+        rng = np.random.default_rng(7)
+        A = _scrambled_band(rng, 120, 2, 3, isinstance(lam, complex))
+        A[17] = 0.0
+        A[17, 17] = lam
+        r = Realization(A, rng.standard_normal((120, 2)), np.ones((1, 120)), np.zeros((1, 2)))
+        assert r._band is not None
+        with pytest.raises(SpectrumError, match="lambda - A"):
+            transfer(r, lam)
+        assert _verdict(lam * np.eye(120) - A, r.B) is None
+
+    def test_beam_at_800_is_refused_on_both_paths(self):
+        # the nodal beam's lam - A at lam = 1 has rcond 1.4e-13 on both
+        # paths, below the threshold 1e3 eps = 2.2e-13
+        r = beam_model(800, "shear-input").realization()
+        assert r._band is not None
+        with pytest.raises(SpectrumError, match="lambda - A"):
+            transfer(r, 1.0)
+        assert _verdict(np.eye(r.n) - r.A, r.B) is None
+
+    def test_one_plan_for_a_sweep(self, monkeypatch):
+        # a 20-shift sweep plans A once, and no shift takes a dense LU
+        bt = beam_model(64, "shear-input").boundary_triple()
+        assert bt._chart.a.shape == (130, 130)  # the chart's own T_b solve is dense, made here
+        plans = []
+
+        def spy(A):
+            plans.append(A.shape)
+            return _band_plan(A)
+
+        def no_dense_lu(*args, **kwargs):
+            raise AssertionError("dense LU on the band path")
+
+        monkeypatch.setattr(regsys.node, "_band_plan", spy)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", no_dense_lu)
+        est = feedthrough_estimate(bt, default_shift_sweep(bt, 20), "primary", "W")
+        assert plans == [(130, 130)] and est.lambdas.size == 20
+
+    @pytest.mark.parametrize("kind, sparse", [("compose-across", False), ("beam-transfer", True)])
+    def test_dense_generators_never_import_scipy_sparse(self, kind, sparse):
+        # in a fresh process a kind whose generators are dense leaves
+        # scipy.sparse unimported; the beam's banded one imports it
+        code = ("import sys; from regsys.cli import run; "
+                f"assert run({{'kind': {kind!r}, 'seed': 0}}, profile='quick')['passed']; "
+                "print('scipy.sparse' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == [str(sparse)]
+
+
 def _nodes():
     """(file, enclosing function, node) for every AST node of src/regsys;
     the function is the innermost one that encloses it, None at module
@@ -446,11 +554,13 @@ def _calls(func_names):
 
 
 def test_one_singularity_gate():
-    # the LU, its condition estimate and the LU solve are read only inside
-    # _checked_solve, and no code solves, inverts or least-squares outside
-    # it (min_norm_control solves from an SVD). The block right side of a
-    # composition is gated: its LU of I - F is the grid admissibility verdict
-    gate = _calls({"lu_factor", "lu_solve", "dgecon", "zgecon", "getrf", "gesv"})
+    # the LU, dense or banded, its condition estimate and the LU solve are
+    # read only inside _checked_solve, and no code solves, inverts or
+    # least-squares outside it (min_norm_control solves from an SVD). The
+    # block right side of a composition is gated: its LU of I - F is the
+    # grid admissibility verdict
+    gate = _calls({"lu_factor", "lu_solve", "dgecon", "zgecon", "getrf", "gesv", "gbtrf", "gbtrs", "gbcon",
+                   "dgbtrf", "zgbtrf", "dgbtrs", "zgbtrs", "dgbcon", "zgbcon"})
     assert gate and {(f, fn) for f, fn, _ in gate} == {("node.py", "_checked_solve")}
     solves = [(f, fn) for f, fn, text in _calls({"solve", "inv", "pinv", "lstsq"})
               if text.startswith(("np.", "numpy.", "scipy."))]
