@@ -135,6 +135,11 @@ class RestrictedGenerator:
     def n(self) -> int:
         return self.a.shape[0]
 
+    @cached_property
+    def _generator(self) -> Realization:
+        """a with no channels: the holder of the band plan that every shift on this chart shares."""
+        return Realization(self.a, np.zeros((self.n, 0)), np.zeros((0, self.n)), np.zeros((0, 0)))
+
 
 def _build_chart(bt: BoundaryTriple) -> RestrictedGenerator:
     n = bt.n_interior
@@ -198,7 +203,7 @@ def dirichlet_map(bt: BoundaryTriple, lam: float, channel: str = "primary") -> D
     restriction (the rcond gate of `transfer`).
     """
     chart, cols = bt._chart, _channel_block(bt, channel)
-    lift = Realization(chart.a, chart.control[:, cols], chart.basis, chart.lift[:, cols])
+    lift = chart._generator._with_channels(chart.control[:, cols], chart.basis, chart.lift[:, cols])
     return DirichletMap(lam=float(lam), matrix=transfer(lift, lam), channel=channel)
 
 
@@ -290,7 +295,7 @@ def _feedthrough_estimates(bt: BoundaryTriple, lambda_sweep, pairs) -> dict:
     rows = {name: slice(end - block.shape[0], end) for (name, block), end in zip(obs.items(), ends)}
     # (A, B, obs basis, obs p) over all channels: its transfer is obs D_lam
     stacked, chart = np.vstack(list(obs.values())), bt._chart
-    r = Realization(chart.a, chart.control, stacked @ chart.basis, stacked @ chart.lift)
+    r = chart._generator._with_channels(chart.control, stacked @ chart.basis, stacked @ chart.lift)
     samples = [transfer(r, lam) for lam in sweep]
     return {(ch, name): _certify(sweep, [s[rows[name], cols[ch]] for s in samples])
             for ch, name in pairs}

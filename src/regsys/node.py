@@ -37,10 +37,10 @@ an io-map carried as its N Markov blocks (`_markov`). Every solve that can
 be refused as singular goes through `_checked_solve`: one LU and its 1-norm
 condition estimate. The LU is dense, or banded where A is a stencil in
 disguise: `transfer` shifts the band plan of A (`_band_plan`, a reverse
-Cuthill-McKee order and LAPACK band storage, made once per Realization), so
-each shift costs O(n kl (kl + ku)) instead of O(n^3). Whether a plan exists
-is read from A alone; a dense A is settled by one nonzero count, before any
-pattern is read. The grid loop I - F is solved on its blocks by
+Cuthill-McKee order and LAPACK band storage, made once per A and shared by
+`Realization._with_channels`), so each shift costs O(n kl (kl + ku)). Whether
+a plan exists is read from A alone; a dense A is settled by one nonzero count,
+before any pattern is read. The grid loop I - F is solved on its blocks by
 `_loop_solve`, an inverse sequence by doubling whose residual certificate
 implies that this gate would accept; where it does not hold, the dense
 `_checked_solve` decides, so refusals still come only from it. Every verdict
@@ -53,7 +53,6 @@ the Gram route squares the condition number, and one rule.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -130,21 +129,26 @@ def _lanczos_top(gram, k: int, dtype) -> float | None:
     accepted once its residual beta_j |s_j| <= 4 eps theta, which puts an
     eigenvalue within 4 eps theta of it, breakdown included (Parlett, The
     Symmetric Eigenvalue Problem, ch. 13); that it is the top one rests on
-    the start vector meeting the top eigenvector.
+    the start vector meeting the top eigenvector. Ritz pairs are LAPACK's
+    stebz and stein, called as eigh_tridiagonal calls them; if flagged, None.
     """
     basis = np.zeros((_LANCZOS_STEPS + 1, k), dtype=dtype)
     start = np.random.default_rng(0).standard_normal(k)
     basis[0] = start / np.linalg.norm(start)
     alpha, beta = np.zeros(_LANCZOS_STEPS), np.zeros(_LANCZOS_STEPS)
+    real, lapack = not np.iscomplexobj(basis), scipy.linalg.lapack
     for j in range(_LANCZOS_STEPS):
         q = basis[: j + 1]
         w = gram(q[j])
         alpha[j] = np.vdot(q[j], w).real
         for _ in range(2):
-            w -= (q @ w.conj()).conj() @ q
+            w -= (q @ w) @ q if real else (q @ w.conj()).conj() @ q
         b = float(np.linalg.norm(w))
-        (theta,), s = scipy.linalg.eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(j, j),
-                                                    check_finite=False)
+        d, e = alpha[: j + 1], beta[: max(j, 1)]  # at j = 0, f2py wants one e that LAPACK does not read
+        _, ritz, block, split, info = lapack.dstebz(d, e, 2, 0, 0, j + 1, j + 1, 0.0, "B")
+        (s, fail), theta = lapack.dstein(d, e, ritz[:1], block, split), ritz[0]
+        if info or fail:
+            return None
         if b * abs(s[-1, 0]) <= 4 * np.finfo(float).eps * max(theta, 0.0):
             return theta if theta > 0.0 else None
         beta[j] = b
@@ -192,18 +196,26 @@ def _band_plan(A) -> _Band | None:
     the band storage would fill more than a quarter of the n^2 entries. The
     band holds every nonzero and at least n entries, so an A with more
     nonzeros than that, or with n < 4, is settled by one count, before any
-    pattern is read or scipy.sparse is imported."""
+    pattern is read. The order is scipy.sparse.csgraph's, ties included,
+    from a breadth-first search here that costs less than importing it."""
     n = len(A)
     if 4 * max(np.count_nonzero(A), n) > n * n:
         return None
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
     pattern = A != 0
     adj = np.flatnonzero(pattern | pattern.T)
-    graph = csr_array((np.ones(adj.size, dtype=bool), adj % n, np.searchsorted(adj, np.arange(n + 1) * n)),
-                      shape=(n, n))
-    perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    ind, ptr = (adj % n).tolist(), np.searchsorted(adj, np.arange(n + 1) * n)
+    degree = (np.diff(ptr) + pattern.diagonal()).astype(np.int32)  # the diagonal counts twice
+    ptr, deg, order, seen = ptr.tolist(), degree.tolist(), [], set()
+    for seed in np.argsort(degree).tolist():  # each component starts at its first node in this order
+        if seed not in seen:
+            seen.add(seed)
+            component = [seed]
+            for i in component:  # breadth first: the list grows while it is read
+                near = [j for j in ind[ptr[i]:ptr[i + 1]] if j not in seen]
+                seen.update(near)
+                component += sorted(near, key=deg.__getitem__)
+            order += component
+    perm = np.array(order[::-1], dtype=np.intp)
     where = np.empty(n, dtype=np.intp)
     where[perm] = np.arange(n)
     rows, cols = np.divmod(np.flatnonzero(pattern), n)
@@ -219,14 +231,15 @@ def _band_plan(A) -> _Band | None:
 def _checked_solve(mat, rhs, rtol: float, error: type, what: str) -> np.ndarray:
     """mat^-1 rhs behind the package's one singularity gate.
 
-    mat is a dense matrix or a `_Band`. One LU (the banded `gbtrf` for a
-    `_Band`, O(n kl (kl + ku)) work), then LAPACK's 1-norm condition
+    mat is a dense matrix or a `_Band`. One LU, `getrf` or, for a `_Band`,
+    `gbtrf` (O(n kl (kl + ku)) work), then LAPACK's 1-norm condition
     estimate rcond (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., ch. 15), so that rcond * ||mat||_1 estimates sigma_min to
     within a factor of n. ||mat||_1 of a `_Band` is read from its columns,
     which are those of M reordered. Raises error when rcond is not finite or
     rcond * ||mat||_1 <= rtol * max(||mat||_1, 1). An exactly singular
-    matrix is refused the same way, without a LinAlgWarning.
+    matrix is refused the same way, without a LinAlgWarning. LAPACK is called
+    directly, with the types and non-finite ValueError of lu_factor/lu_solve.
     """
     lapack = scipy.linalg.lapack
     if isinstance(mat, _Band):
@@ -238,16 +251,16 @@ def _checked_solve(mat, rhs, rtol: float, error: type, what: str) -> np.ndarray:
         lu, piv, _ = gbtrf(ab, kl, ku)
         rcond, _ = gbcon(kl, ku, lu, piv, anorm)
     else:
+        mat = np.asarray_chkfinite(mat)
         anorm = np.linalg.norm(mat, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(mat)
-        gecon = lapack.zgecon if np.iscomplexobj(lu) else lapack.dgecon
+        getrf, gecon = (lapack.zgetrf, lapack.zgecon) if np.iscomplexobj(mat) else (lapack.dgetrf, lapack.dgecon)
+        lu, piv, _ = getrf(mat)
         rcond, _ = gecon(lu, anorm)
     if not np.isfinite(rcond) or rcond * anorm <= rtol * max(anorm, 1.0):
         raise error(f"{what} is numerically singular (rcond={rcond:.2e}, 1-norm {anorm:.2e})")
     if not isinstance(mat, _Band):
-        return scipy.linalg.lu_solve((lu, piv), rhs)
+        rhs = np.asarray_chkfinite(rhs)
+        return (lapack.zgetrs if np.iscomplexobj(lu) or np.iscomplexobj(rhs) else lapack.dgetrs)(lu, piv, rhs)[0]
     x = np.empty(np.shape(rhs), dtype=lu.dtype)
     x[mat.perm] = gbtrs(lu, kl, ku, np.asarray(rhs)[mat.perm], piv)[0]
     return x
@@ -336,6 +349,12 @@ class Realization:
         """-A as `_band_plan` orders and stores it, or None for a dense A;
         planned when `transfer` first reads it, then shared by every shift."""
         return _band_plan(self.A)
+
+    def _with_channels(self, B, C, D) -> "Realization":
+        """(A, B, C, D) on this A, sharing its band plan (made here if not yet)."""
+        r = Realization(self.A, B, C, D)
+        object.__setattr__(r, "_band", self._band)
+        return r
 
     # serialization: {n, m, p, A, B, C, D}, matrices in the JSON matrix format
 
@@ -668,7 +687,7 @@ def lambda_extension(r: Realization, x, lambda_sweep) -> dict:
     if not np.all(np.isfinite(x)):
         raise ShapeError("x contains non-finite entries")
     target = r.C @ x
-    fed = Realization(r.A, x[:, None], r.C, np.zeros((r.p, 1)))
+    fed = r._with_channels(x[:, None], r.C, np.zeros((r.p, 1)))
     values = [lam * transfer(fed, lam)[:, 0] for lam in sweep]
     residuals = np.array([np.linalg.norm(v - target) for v in values])
     return {

@@ -8,6 +8,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from regsys import (
     transfer,
     wave_triple,
 )
+from regsys.cli import KINDS
 from regsys.feedback import _channels
 from regsys.node import _band_plan, _checked_solve, lifted_quadruple
 
@@ -104,6 +106,54 @@ class TestRule:
     def test_exactly_singular_is_refused_without_a_warning(self, mat):
         with pytest.raises(AdmissibilityError):
             _checked_solve(mat, np.eye(mat.shape[0]), 1e-8, AdmissibilityError, "M")
+
+    @STRICT
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), cols=st.sampled_from([None, 1, 3]),
+           complex_mat=st.booleans(), complex_rhs=st.booleans(), rtol=st.sampled_from(RTOLS),
+           singular=st.sampled_from([None, "zero column", "equal rows", "graded"]),
+           poison=st.sampled_from([None, "mat", "rhs"]), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_dense_gate_is_the_wrappers_bit_for_bit(self, seed, n, cols, complex_mat, complex_rhs, rtol,
+                                                     singular, poison, bad):
+        # the dense gate calls getrf, gecon and getrs directly; its verdict,
+        # message and solution are those of lu_factor, gecon and lu_solve,
+        # bit for bit, a complex rhs of a real mat and a 1-D rhs included,
+        # and it raises their ValueError on non-finite input, without a
+        # LinAlgWarning on an exactly singular mat
+        rng = np.random.default_rng(seed)
+        mat = graded(rng, n, 1.0, 1e-20 if singular == "graded" else 0.5, complex_mat)
+        if singular == "zero column":
+            mat[:, rng.integers(n)] = 0.0
+        elif singular == "equal rows" and n > 1:
+            mat[0] = mat[-1]
+        rhs = rng.standard_normal((n,) if cols is None else (n, cols)) * (1.0 + 0.5j if complex_rhs else 1.0)
+        if poison is not None:
+            (mat if poison == "mat" else rhs).flat[rng.integers(mat.size if poison == "mat" else rhs.size)] = bad
+        assert _gate_outcome(lambda: _checked_solve(mat, rhs, rtol, SpectrumError, "M")) == \
+            _gate_outcome(lambda: _wrapper_gate(mat, rhs, rtol))
+
+
+def _wrapper_gate(mat, rhs, rtol):
+    """The dense gate as it read through scipy's wrappers: lu_factor (its
+    LinAlgWarning silenced), gecon, the rule, and lu_solve."""
+    anorm = np.linalg.norm(mat, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(mat)
+    gecon = scipy.linalg.lapack.zgecon if np.iscomplexobj(lu) else scipy.linalg.lapack.dgecon
+    rcond, _ = gecon(lu, anorm)
+    if not np.isfinite(rcond) or rcond * anorm <= rtol * max(anorm, 1.0):
+        raise SpectrumError(f"M is numerically singular (rcond={rcond:.2e}, 1-norm {anorm:.2e})")
+    return scipy.linalg.lu_solve((lu, piv), rhs)
+
+
+def _gate_outcome(call):
+    """What a gate call gave: its error type and message, or the solution's
+    dtype, shape and bytes."""
+    try:
+        x = call()
+    except (SpectrumError, ValueError) as err:
+        return type(err), str(err)
+    return x.dtype, x.shape, x.tobytes()
 
 
 def _old_refuses(mat, rhs, rtol, what):
@@ -496,10 +546,30 @@ class TestBandPath:
             transfer(r, 1.0)
         assert _verdict(np.eye(r.n) - r.A, r.B) is None
 
-    def test_one_plan_for_a_sweep(self, monkeypatch):
-        # a 20-shift sweep plans A once, and no shift takes a dense LU
-        bt = beam_model(64, "shear-input").boundary_triple()
-        assert bt._chart.a.shape == (130, 130)  # the chart's own T_b solve is dense, made here
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(64, 300), half=st.integers(0, 2),
+           keep=st.floats(0.2, 1.0), diagonal=st.floats(0.0, 1.0), isolated=st.integers(0, 5))
+    def test_ordering_is_scipys_reverse_cuthill_mckee(self, seed, n, half, keep, diagonal, isolated):
+        # a band of half-width `half` with a share `keep` of its off-diagonal
+        # and `diagonal` of its diagonal entries left, some nodes cut off and
+        # all scrambled: degree ties and disconnected parts abound. The plan's
+        # order is scipy's reverse Cuthill-McKee of the symmetrized pattern
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        rng = np.random.default_rng(seed)
+        A = _scrambled_band(rng, n, half, half, False)
+        A[(rng.random((n, n)) > keep) & ~np.eye(n, dtype=bool)] = 0.0
+        A[np.diag_indices(n)] *= rng.random(n) < diagonal
+        cut = rng.choice(n, isolated, replace=False)
+        A[cut], A[:, cut] = 0.0, 0.0
+        band = _band_plan(A)
+        pattern = A != 0
+        want = reverse_cuthill_mckee(csr_array(pattern | pattern.T), symmetric_mode=True)
+        assert band is not None and np.array_equal(band.perm, want)
+
+    @staticmethod
+    def _spy_plans(monkeypatch):
+        """The shapes of the band plans made from here on; a dense LU raises."""
         plans = []
 
         def spy(A):
@@ -510,20 +580,43 @@ class TestBandPath:
             raise AssertionError("dense LU on the band path")
 
         monkeypatch.setattr(regsys.node, "_band_plan", spy)
-        monkeypatch.setattr(scipy.linalg, "lu_factor", no_dense_lu)
+        for name in ("dgetrf", "zgetrf"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, no_dense_lu)
+        return plans
+
+    def test_one_plan_for_a_sweep(self, monkeypatch):
+        # a 20-shift sweep plans A once, and no shift takes a dense LU
+        bt = beam_model(64, "shear-input").boundary_triple()
+        assert bt._chart.a.shape == (130, 130)  # the chart's own T_b solve is dense, made here
+        plans = self._spy_plans(monkeypatch)
         est = feedthrough_estimate(bt, default_shift_sweep(bt, 20), "primary", "W")
         assert plans == [(130, 130)] and est.lambdas.size == 20
 
-    @pytest.mark.parametrize("kind, sparse", [("compose-across", False), ("beam-transfer", True)])
-    def test_dense_generators_never_import_scipy_sparse(self, kind, sparse):
-        # in a fresh process a kind whose generators are dense leaves
-        # scipy.sparse unimported; the beam's banded one imports it
+    def test_one_plan_per_chart_and_realization(self, monkeypatch):
+        # 20 Dirichlet lifts of one triple, a feedthrough sweep on it and a
+        # 20-shift lambda_extension share one plan of their A each
+        bt = beam_model(64, "shear-input").boundary_triple()
+        r = beam_model(64, "shear-input").realization()
+        assert bt._chart.a.shape == (130, 130)
+        plans = self._spy_plans(monkeypatch)
+        lifts = [dirichlet_map(bt, lam) for lam in default_shift_sweep(bt, 20)]
+        feedthrough_estimate(bt, default_shift_sweep(bt, 12), "primary", "W")
+        assert plans == [(130, 130)] and len(lifts) == 20
+        ext = lambda_extension(r, np.ones(r.n), default_shift_sweep(bt, 20))
+        transfer(r, 1e6)
+        assert plans == [(130, 130), (r.n, r.n)] and ext["residuals"].size == 20
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_kind_imports_scipy_sparse(self, kind):
+        # in a fresh process no kind imports scipy.sparse: the compositions'
+        # dense generators never reach the ordering, and the beam's banded
+        # ones are ordered without it
         code = ("import sys; from regsys.cli import run; "
                 f"assert run({{'kind': {kind!r}, 'seed': 0}}, profile='quick')['passed']; "
                 "print('scipy.sparse' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.split() == [str(sparse)]
+        assert out.stdout.split() == ["False"]
 
 
 def _nodes():
@@ -554,14 +647,19 @@ def _calls(func_names):
 
 
 def test_one_singularity_gate():
-    # the LU, dense or banded, its condition estimate and the LU solve are
-    # read only inside _checked_solve, and no code solves, inverts or
+    # the LU, dense or banded, its condition estimate and the LU solve (the
+    # LAPACK routines or scipy's wrappers of them) are read only inside
+    # _checked_solve, and no code solves, inverts or
     # least-squares outside it (min_norm_control solves from an SVD). The
     # block right side of a composition is gated: its LU of I - F is the
     # grid admissibility verdict
     gate = _calls({"lu_factor", "lu_solve", "dgecon", "zgecon", "getrf", "gesv", "gbtrf", "gbtrs", "gbcon",
-                   "dgbtrf", "zgbtrf", "dgbtrs", "zgbtrs", "dgbcon", "zgbcon"})
+                   "dgbtrf", "zgbtrf", "dgbtrs", "zgbtrs", "dgbcon", "zgbcon", "dgetrf", "zgetrf", "getrs",
+                   "dgetrs", "zgetrs"})
     assert gate and {(f, fn) for f, fn, _ in gate} == {("node.py", "_checked_solve")}
+    # the tridiagonal eigensolver is read only by the Lanczos Ritz step
+    ritz = _calls({"eigh_tridiagonal", "stebz", "stein", "dstebz", "dstein"})
+    assert ritz and {(f, fn) for f, fn, _ in ritz} == {("node.py", "_lanczos_top")}
     solves = [(f, fn) for f, fn, text in _calls({"solve", "inv", "pinv", "lstsq"})
               if text.startswith(("np.", "numpy.", "scipy."))]
     assert solves == []

@@ -551,6 +551,31 @@ class TestSpectralNorm:
         assert sizes == ([300] if pair else [])
         assert abs(got - 1.0) <= 1e-14
 
+    @given(k=st.integers(2, 300), extra=st.integers(0, 40),
+           kind=st.sampled_from(["gaussian", "rank-one", "graded", "zero", "pair-1e-10", "pair-1e-6"]),
+           complex_=st.booleans(), seed=st.integers(min_value=0, max_value=2**31))
+    def test_ritz_step_is_eigh_tridiagonal(self, k, extra, kind, complex_, seed):
+        # every Lanczos step takes its top Ritz pair from LAPACK's stebz and
+        # stein directly; (theta, s[-1, 0]) is eigh_tridiagonal's bit for bit
+        # at every j >= 0, and a certified run returns the last theta
+        a = _draw_matrix(np.random.default_rng(seed), k, k + extra, kind, complex_)
+        at = a.conj().T
+        stein, steps = scipy.linalg.lapack.dstein, []
+
+        def spy(d, e, w, *args):
+            z, info = stein(d, e, w, *args)
+            steps.append((d.copy(), e[: len(d) - 1].copy(), w[0], z[-1, 0]))
+            return z, info
+
+        with mock.patch.object(scipy.linalg.lapack, "dstein", spy):
+            got = regsys.node._lanczos_top(lambda v: a @ (at @ v), k, a.dtype)
+        assert [len(d) for d, *_ in steps] == list(range(1, len(steps) + 1))
+        for d, e, theta, last in steps:
+            j = len(d) - 1
+            (want,), s = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(j, j))
+            assert (theta, last) == (want, s[-1, 0])
+        assert got is None or got == steps[-1][2]
+
     @pytest.mark.parametrize("kind", ["gaussian", "graded", "pair-1e-10"])
     def test_bit_reproducible(self, kind):
         a = _draw_matrix(np.random.default_rng(1), 300, 340, kind, False)
